@@ -70,17 +70,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// The declared default for `sql.vectorized`: true unless the
-/// `ODBIS_SQL_VECTORIZED` environment variable opts the whole process into
-/// the row-executor ablation (`off`/`0`/`false`), as the CI ablation job
-/// does.
-fn vectorized_default() -> bool {
-    !matches!(
-        std::env::var("ODBIS_SQL_VECTORIZED").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
-}
-
 /// The declared default for `durability.fsync`: the `ODBIS_DURABILITY_FSYNC`
 /// environment variable when set (the CI durability job exports `always`),
 /// otherwise `never` — crash-safe against process death, not power loss.
@@ -136,7 +125,6 @@ impl PlatformConfig {
             ("reporting.default_chart", ConfigValue::from("bar")),
             ("etl.reject_threshold", ConfigValue::Int(1_000)),
             ("olap.preaggregation", ConfigValue::Bool(true)),
-            ("sql.vectorized", ConfigValue::Bool(vectorized_default())),
             // 0 = auto: let the engine size its worker pool to the machine.
             ("sql.parallelism", ConfigValue::Int(0)),
             ("sql.optimizer_rules", ConfigValue::from("all")),

@@ -56,7 +56,7 @@ fn span_microcost(c: &mut Criterion) {
         b.iter(|| {
             let mut s = t.span("acme", "MDS", "sql", 250);
             s.set_detail("SELECT v FROM kpis WHERE k = 'k999'");
-            let mut child = odbis_telemetry::child_span("sql", "execute.vectorized");
+            let mut child = odbis_telemetry::child_span("sql", "execute");
             child.set_rows(1);
             drop(child);
             s.set_rows(1);

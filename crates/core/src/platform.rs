@@ -465,7 +465,6 @@ pub struct OdbisPlatform {
     /// (tenant → platform → `ODBIS_LIMITS_*` defaults) on every request.
     pub admission: Arc<odbis_web::AdmissionControl>,
     sql: Engine,
-    sql_rows: Engine,
     workspaces: Arc<RwLock<HashMap<String, Arc<TenantWorkspace>>>>,
     data_dir: Option<PathBuf>,
     /// Cluster membership, `None` for a standalone node. Set once by
@@ -532,7 +531,6 @@ impl OdbisPlatform {
             context,
             admission,
             sql: Engine::new(),
-            sql_rows: Engine::with_row_execution(),
             workspaces,
             data_dir,
             cluster: RwLock::new(None),
@@ -860,25 +858,16 @@ impl OdbisPlatform {
 
     /// Execute raw SQL in the tenant warehouse (designer capability).
     ///
-    /// SELECTs run on the vectorized columnar path unless the tenant's
-    /// `sql.vectorized` setting is explicitly `false` (ablation switch,
-    /// mirroring `olap.preaggregation`). Two further per-tenant knobs tune
-    /// the engine: `sql.parallelism` (worker count for morsel-parallel
-    /// execution, `0` = auto) and `sql.optimizer_rules` (rule-set spec such
-    /// as `"all"`, `"none"`, or `"-reorder,-prune"`).
+    /// Two per-tenant knobs tune the engine: `sql.parallelism` (worker
+    /// count for morsel-parallel execution, `0` = auto, `1` = serial) and
+    /// `sql.optimizer_rules` (rule-set spec such as `"all"`, `"none"`, or
+    /// `"-reorder,-prune"`).
     pub fn sql(&self, tenant: &str, token: &str, sql: &str) -> PlatformResult<QueryResult> {
         self.traced(tenant, ServiceKind::Metadata, "sql", |span| {
             span.set_detail(sql);
             self.authorize(tenant, token, "ETL_DESIGN")?;
             let ws = self.workspace(tenant)?;
-            let mut engine = if matches!(
-                self.admin.config.get(tenant, "sql.vectorized"),
-                Ok(odbis_admin::ConfigValue::Bool(false))
-            ) {
-                self.sql_rows.clone()
-            } else {
-                self.sql.clone()
-            };
+            let mut engine = self.sql.clone();
             if let Ok(odbis_admin::ConfigValue::Int(n)) =
                 self.admin.config.get(tenant, "sql.parallelism")
             {
@@ -1403,26 +1392,22 @@ mod tests {
         ));
     }
 
+    /// The row-executor switch is gone: a stale operator script that still
+    /// sets `sql.vectorized` gets an error instead of a silent no-op.
     #[test]
-    fn sql_vectorized_config_toggles_execution_path() {
-        let (p, token) = boot();
-        p.sql("acme", &token, "CREATE TABLE t (x INT, y TEXT)")
-            .unwrap();
-        p.sql(
-            "acme",
-            &token,
-            "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, NULL)",
-        )
-        .unwrap();
-        let q = "SELECT y, COUNT(*) AS n FROM t WHERE x > 1 GROUP BY y";
-        let vectorized = p.sql("acme", &token, q).unwrap();
-        p.admin
-            .config
-            .set_for_tenant("acme", "sql.vectorized", false.into())
-            .unwrap();
-        let row_based = p.sql("acme", &token, q).unwrap();
-        assert_eq!(vectorized.columns, row_based.columns);
-        assert_eq!(vectorized.rows, row_based.rows);
+    fn sql_vectorized_config_key_is_unknown() {
+        let (p, _) = boot();
+        for result in [
+            p.admin
+                .config
+                .set_for_tenant("acme", "sql.vectorized", false.into()),
+            p.admin.config.set("sql.vectorized", true.into()),
+        ] {
+            assert!(matches!(
+                result,
+                Err(odbis_admin::ConfigError::UnknownKey(ref k)) if k == "sql.vectorized"
+            ));
+        }
     }
 
     #[test]

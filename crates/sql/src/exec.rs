@@ -1,58 +1,64 @@
-//! Plan execution: materialized, operator-at-a-time.
+//! Plan execution: one morsel-driven pipeline, materialized
+//! operator-at-a-time.
 //!
-//! Three equivalent paths exist. [`run`] is the row-at-a-time executor over
-//! `Vec<Vec<Value>>`. [`run_batch`] is the serial vectorized executor over
-//! columnar [`Batch`]es: scans, filters, projections, and aggregations stay
-//! column-wise; joins, sorts, DISTINCT, and VALUES pivot to rows at their
-//! boundary and share the same row-level kernels as the row path, so both
-//! executors return identical results. [`run_batch_with`] adds
-//! morsel-driven parallelism on top of the vectorized operators: table
-//! scans emit fixed-size morsels ([`MORSEL_ROWS`] rows) that flow through
-//! filters and projections on a scoped worker pool, equi-joins become
-//! partitioned hash joins, and aggregation runs two-phase (per-worker
-//! partial states merged in worker order). Every parallel operator is
-//! written to reproduce the serial output ordering exactly, so all three
-//! paths stay bit-for-bit interchangeable.
+//! Table scans emit fixed-size morsels ([`MORSEL_ROWS`] rows) that flow
+//! column-wise through filters and projections on a scoped worker pool;
+//! equi-joins become partitioned hash joins, and aggregation runs two-phase
+//! (per-worker partial states merged in worker order). Joins, sorts,
+//! DISTINCT, index probes and VALUES pivot through rows at their boundary.
+//! [`run`] concatenates the output morsels; with `threads = 1` every
+//! operator runs on the calling thread and a scan emits the table's
+//! snapshot as one morsel, which is the serial case. Each
+//! parallel operator reproduces the serial output ordering exactly, so the
+//! result does not depend on the worker count.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use odbis_storage::{Batch, ColumnData, ColumnVec, Database, Value};
+use odbis_storage::{Batch, ColumnData, ColumnVec, Database, DbError, Value};
 
 use crate::ast::{AggFunc, BinOp, JoinKind};
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{keep_mask, truth, BExpr};
 use crate::plan::{AggExpr, Plan, PlanNode};
 
-/// Execute a read-only plan, producing materialized rows.
-pub fn run(db: &Database, plan: &Plan) -> SqlResult<Vec<Vec<Value>>> {
+/// Rows per morsel: the unit of work handed to parallel operators.
+pub const MORSEL_ROWS: usize = 4096;
+
+/// Execute a read-only plan on `threads` workers (`1` = serial), producing
+/// one [`Batch`].
+pub fn run(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Batch> {
+    let morsels = exec_morsels(db, plan, threads)?;
+    Ok(Batch::concat(plan.schema.len(), &morsels)?)
+}
+
+/// Execute `plan` and pivot its output to rows (the boundary of the
+/// row-level join, sort and DISTINCT kernels).
+fn run_rows(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Vec<Value>>> {
+    Ok(run(db, plan, threads)?.to_rows())
+}
+
+/// Morsel-driven execution: returns the plan's output as ordered morsels
+/// whose in-order concatenation is the result.
+fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Batch>> {
+    let arity = plan.schema.len();
     match &plan.node {
         PlanNode::TableScan {
             table,
             filter,
             projection,
         } => {
-            let rows = db.scan(table)?;
-            // Project before filtering: a pushed filter is bound over the
-            // pruned column space.
-            let rows: Vec<Vec<Value>> = match projection {
-                None => rows,
-                Some(cols) => rows
-                    .into_iter()
-                    .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
-                    .collect(),
+            // One worker has nothing to split: it takes the table's shared
+            // snapshot whole, since cutting it into morsels copies it.
+            let morsel_rows = if threads <= 1 {
+                usize::MAX
+            } else {
+                MORSEL_ROWS
             };
+            let morsels = db.scan_partitions(table, projection.as_deref(), morsel_rows)?;
             match filter {
-                None => Ok(rows),
-                Some(pred) => {
-                    let mut out = Vec::new();
-                    for row in rows {
-                        if truth(&pred.eval(&row)?) == Some(true) {
-                            out.push(row);
-                        }
-                    }
-                    Ok(out)
-                }
+                None => Ok(morsels),
+                Some(pred) => par_map(morsels, threads, |m| Ok(m.filter(&keep_mask(pred, &m)?))),
             }
         }
         PlanNode::IndexScan {
@@ -62,255 +68,30 @@ pub fn run(db: &Database, plan: &Plan) -> SqlResult<Vec<Vec<Value>>> {
             hi,
             residual,
         } => {
-            let candidates: Vec<Vec<Value>> = db.read_table(table, |t| {
+            // Index probes fetch scattered rows: gather them, re-check the
+            // residual row by row, then batch.
+            let rows: Vec<Vec<Value>> = db.read_table(table, |t| {
                 let idx = t
                     .index(index)
-                    .ok_or_else(|| odbis_storage::DbError::IndexNotFound(index.clone()))?;
-                let ids = idx.range(lo.as_deref(), hi.as_deref());
-                ids.into_iter()
+                    .ok_or_else(|| DbError::IndexNotFound(index.clone()))?;
+                idx.range(lo.as_deref(), hi.as_deref())
+                    .into_iter()
                     .map(|id| t.get(id).map(<[Value]>::to_vec))
                     .collect::<Result<Vec<_>, _>>()
             })??;
-            match residual {
-                None => Ok(candidates),
+            let rows = match residual {
+                None => rows,
                 Some(pred) => {
-                    let mut out = Vec::new();
-                    for row in candidates {
+                    let mut kept = Vec::with_capacity(rows.len());
+                    for row in rows {
                         if truth(&pred.eval(&row)?) == Some(true) {
-                            out.push(row);
+                            kept.push(row);
                         }
                     }
-                    Ok(out)
+                    kept
                 }
-            }
-        }
-        PlanNode::Filter { input, predicate } => {
-            let rows = run(db, input)?;
-            let mut out = Vec::new();
-            for row in rows {
-                if truth(&predicate.eval(&row)?) == Some(true) {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-        PlanNode::Project { input, exprs } => {
-            let rows = run(db, input)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let mut projected = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    projected.push(e.eval(&row)?);
-                }
-                out.push(projected);
-            }
-            Ok(out)
-        }
-        PlanNode::Join {
-            kind,
-            left,
-            right,
-            on,
-        } => join(db, *kind, left, right, on),
-        PlanNode::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-        } => aggregate(db, input, group_exprs, aggs),
-        PlanNode::Sort { input, keys } => {
-            let mut rows = run(db, input)?;
-            sort_rows(&mut rows, keys);
-            Ok(rows)
-        }
-        PlanNode::Distinct { input } => {
-            let rows = run(db, input)?;
-            let mut seen = HashSet::new();
-            let mut out = Vec::new();
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-        PlanNode::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            // Top-k fast path: LIMIT directly above Sort keeps a bounded
-            // heap instead of sorting the whole input.
-            if let (
-                PlanNode::Sort {
-                    input: sort_input,
-                    keys,
-                },
-                Some(l),
-            ) = (&input.node, limit)
-            {
-                let rows = run(db, sort_input)?;
-                let top = top_k(rows, keys, offset.saturating_add(*l));
-                return Ok(top.into_iter().skip(*offset).collect());
-            }
-            let rows = run(db, input)?;
-            let end = limit.map_or(rows.len(), |l| (offset + l).min(rows.len()));
-            let start = (*offset).min(rows.len());
-            Ok(rows[start..end.max(start)].to_vec())
-        }
-        PlanNode::Values { rows } => Ok(rows.clone()),
-    }
-}
-
-/// Execute a read-only plan column-wise, producing a [`Batch`].
-///
-/// Table scans, filters, projections, aggregations, and LIMIT are fully
-/// vectorized. Joins, sorts, DISTINCT, index probes, and VALUES pivot
-/// through rows at their boundary (sharing the row path's kernels), then
-/// re-batch their output.
-pub fn run_batch(db: &Database, plan: &Plan) -> SqlResult<Batch> {
-    let arity = plan.schema.len();
-    match &plan.node {
-        PlanNode::TableScan {
-            table,
-            filter,
-            projection,
-        } => {
-            let batch = match projection {
-                None => db.scan_batch(table)?,
-                Some(cols) => db.scan_batch_cols(table, cols)?,
             };
-            match filter {
-                None => Ok(batch),
-                Some(pred) => Ok(batch.filter(&keep_mask(pred, &batch)?)),
-            }
-        }
-        PlanNode::IndexScan { .. } => {
-            // index probes fetch scattered rows; batch the fetched result
-            let rows = run(db, plan)?;
-            Ok(Batch::from_rows(arity, rows)?)
-        }
-        PlanNode::Filter { input, predicate } => {
-            let batch = run_batch(db, input)?;
-            Ok(batch.filter(&keep_mask(predicate, &batch)?))
-        }
-        PlanNode::Project { input, exprs } => {
-            let batch = run_batch(db, input)?;
-            let cols: Vec<Arc<ColumnVec>> = exprs
-                .iter()
-                .map(|e| e.eval_batch(&batch))
-                .collect::<SqlResult<_>>()?;
-            Ok(Batch::new(cols, batch.num_rows())?)
-        }
-        PlanNode::Join {
-            kind,
-            left,
-            right,
-            on,
-        } => {
-            let lrows = run_batch(db, left)?.to_rows();
-            let rrows = run_batch(db, right)?.to_rows();
-            let rows = join_rows(
-                *kind,
-                &lrows,
-                &rrows,
-                left.schema.len(),
-                right.schema.len(),
-                on,
-            )?;
-            Ok(Batch::from_rows(arity, rows)?)
-        }
-        PlanNode::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-        } => {
-            let batch = run_batch(db, input)?;
-            let rows = aggregate_batch(&batch, group_exprs, aggs)?;
-            Ok(Batch::from_rows(arity, rows)?)
-        }
-        PlanNode::Sort { input, keys } => {
-            let mut rows = run_batch(db, input)?.to_rows();
-            sort_rows(&mut rows, keys);
-            Ok(Batch::from_rows(arity, rows)?)
-        }
-        PlanNode::Distinct { input } => {
-            let rows = run_batch(db, input)?.to_rows();
-            let mut seen = HashSet::new();
-            let mut out = Vec::new();
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(Batch::from_rows(arity, out)?)
-        }
-        PlanNode::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            if let (
-                PlanNode::Sort {
-                    input: sort_input,
-                    keys,
-                },
-                Some(l),
-            ) = (&input.node, limit)
-            {
-                let rows = run_batch(db, sort_input)?.to_rows();
-                let top = top_k(rows, keys, offset.saturating_add(*l));
-                let out: Vec<Vec<Value>> = top.into_iter().skip(*offset).collect();
-                return Ok(Batch::from_rows(arity, out)?);
-            }
-            let batch = run_batch(db, input)?;
-            let n = batch.num_rows();
-            let end = limit.map_or(n, |l| (offset + l).min(n));
-            let start = (*offset).min(n);
-            Ok(batch.slice(start, end.max(start)))
-        }
-        PlanNode::Values { rows } => Ok(Batch::from_rows(arity, rows.clone())?),
-    }
-}
-
-/// Rows per morsel: the unit of work handed to parallel operators.
-pub const MORSEL_ROWS: usize = 4096;
-
-/// Execution tuning knobs threaded from the engine.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Worker threads for morsel-parallel operators (`<= 1` = serial).
-    pub parallelism: usize,
-}
-
-/// Execute a read-only plan with the given options, producing a [`Batch`].
-///
-/// With `parallelism <= 1` this is exactly [`run_batch`]. Otherwise the
-/// plan runs morsel-parallel and the output morsels are concatenated; all
-/// parallel operators preserve the serial output ordering, so the result
-/// is identical to the serial executors'.
-pub fn run_batch_with(db: &Database, plan: &Plan, opts: ExecOptions) -> SqlResult<Batch> {
-    if opts.parallelism <= 1 {
-        return run_batch(db, plan);
-    }
-    let morsels = exec_morsels(db, plan, opts.parallelism)?;
-    Ok(Batch::concat(plan.schema.len(), &morsels)?)
-}
-
-/// Morsel-parallel execution: returns the plan's output as ordered
-/// morsels whose in-order concatenation equals the serial result.
-fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Batch>> {
-    let arity = plan.schema.len();
-    match &plan.node {
-        PlanNode::TableScan {
-            table,
-            filter,
-            projection,
-        } => {
-            let morsels = db.scan_partitions(table, projection.as_deref(), MORSEL_ROWS)?;
-            match filter {
-                None => Ok(morsels),
-                Some(pred) => par_map(morsels, threads, |m| Ok(m.filter(&keep_mask(pred, &m)?))),
-            }
+            Ok(vec![Batch::from_rows(arity, rows)?])
         }
         PlanNode::Filter { input, predicate } => {
             let morsels = exec_morsels(db, input, threads)?;
@@ -345,30 +126,27 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
             Ok(vec![Batch::from_rows(arity, rows)?])
         }
         PlanNode::Sort { input, keys } => {
-            let morsels = exec_morsels(db, input, threads)?;
-            let mut rows = Batch::concat(input.schema.len(), &morsels)?.to_rows();
+            let mut rows = run_rows(db, input, threads)?;
             sort_rows(&mut rows, keys);
             Ok(vec![Batch::from_rows(arity, rows)?])
         }
         PlanNode::Distinct { input } => {
             // Whole-row dedup keeps first occurrences: inherently ordered,
             // so it runs serially over the concatenated input.
-            let morsels = exec_morsels(db, input, threads)?;
-            let rows = Batch::concat(input.schema.len(), &morsels)?.to_rows();
             let mut seen = HashSet::new();
-            let mut out = Vec::new();
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(vec![Batch::from_rows(arity, out)?])
+            let rows: Vec<Vec<Value>> = run_rows(db, input, threads)?
+                .into_iter()
+                .filter(|row| seen.insert(row.clone()))
+                .collect();
+            Ok(vec![Batch::from_rows(arity, rows)?])
         }
         PlanNode::Limit {
             input,
             limit,
             offset,
         } => {
+            // Top-k fast path: LIMIT directly above Sort keeps a bounded
+            // heap instead of sorting the whole input.
             if let (
                 PlanNode::Sort {
                     input: sort_input,
@@ -377,21 +155,18 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
                 Some(l),
             ) = (&input.node, limit)
             {
-                let morsels = exec_morsels(db, sort_input, threads)?;
-                let rows = Batch::concat(sort_input.schema.len(), &morsels)?.to_rows();
+                let rows = run_rows(db, sort_input, threads)?;
                 let top = top_k(rows, keys, offset.saturating_add(*l));
                 let out: Vec<Vec<Value>> = top.into_iter().skip(*offset).collect();
                 return Ok(vec![Batch::from_rows(arity, out)?]);
             }
-            let morsels = exec_morsels(db, input, threads)?;
-            let batch = Batch::concat(input.schema.len(), &morsels)?;
+            let batch = run(db, input, threads)?;
             let n = batch.num_rows();
-            let end = limit.map_or(n, |l| (offset + l).min(n));
+            let end = limit.map_or(n, |l| offset.saturating_add(l).min(n));
             let start = (*offset).min(n);
             Ok(vec![batch.slice(start, end.max(start))])
         }
-        // Index probes fetch scattered rows and VALUES is tiny: run serial.
-        PlanNode::IndexScan { .. } | PlanNode::Values { .. } => Ok(vec![run_batch(db, plan)?]),
+        PlanNode::Values { rows } => Ok(vec![Batch::from_rows(arity, rows.clone())?]),
     }
 }
 
@@ -451,9 +226,9 @@ fn par_map<T: Send, R: Send>(
 
 /// Partitioned hash join: both sides execute morsel-parallel, the smaller
 /// side becomes the build table, and probing fans out over morsels. Output
-/// order matches the serial kernel ([`join_rows`]) exactly: probing the
-/// left side preserves its natural order, and the build-left variant
-/// canonicalizes via a `(left, right)` pair sort.
+/// order is the nested-loop order (left row, then right row) whatever the
+/// worker count: probing the left side preserves its natural order, and
+/// the build-left variant canonicalizes via a `(left, right)` pair sort.
 fn parallel_join(
     db: &Database,
     kind: JoinKind,
@@ -465,12 +240,12 @@ fn parallel_join(
     let l_arity = left.schema.len();
     let r_arity = right.schema.len();
     let arity = l_arity + r_arity;
-    let lrows = Batch::concat(l_arity, &exec_morsels(db, left, threads)?)?.to_rows();
-    let rrows = Batch::concat(r_arity, &exec_morsels(db, right, threads)?)?.to_rows();
+    let lrows = run_rows(db, left, threads)?;
+    let rrows = run_rows(db, right, threads)?;
     let eq_pairs = equi_pairs(on, l_arity);
     if eq_pairs.is_empty() {
         // No equi-keys: fall back to the serial nested-loop kernel.
-        let rows = join_rows(kind, &lrows, &rrows, l_arity, r_arity, on)?;
+        let rows = join_rows(kind, &lrows, &rrows, r_arity, on)?;
         return Ok(vec![Batch::from_rows(arity, rows)?]);
     }
     if kind == JoinKind::Inner && lrows.len() < rrows.len() {
@@ -648,83 +423,31 @@ fn top_k(rows: Vec<Vec<Value>>, keys: &[(usize, bool)], k: usize) -> Vec<Vec<Val
     heap.into_sorted_vec().into_iter().map(|e| e.row).collect()
 }
 
-fn join(
-    db: &Database,
-    kind: JoinKind,
-    left: &Plan,
-    right: &Plan,
-    on: &BExpr,
-) -> SqlResult<Vec<Vec<Value>>> {
-    let lrows = run(db, left)?;
-    let rrows = run(db, right)?;
-    join_rows(
-        kind,
-        &lrows,
-        &rrows,
-        left.schema.len(),
-        right.schema.len(),
-        on,
-    )
-}
-
-/// Row-level join kernel shared by both executors.
+/// Nested-loop join kernel for conditions without equi-keys: emits
+/// matches in (left row, right row) order, NULL-extending unmatched left
+/// rows of a LEFT join.
 fn join_rows(
     kind: JoinKind,
     lrows: &[Vec<Value>],
     rrows: &[Vec<Value>],
-    l_arity: usize,
     r_arity: usize,
     on: &BExpr,
 ) -> SqlResult<Vec<Vec<Value>>> {
-    let eq_pairs = equi_pairs(on, l_arity);
     let mut out = Vec::new();
-    if !eq_pairs.is_empty() {
-        // build on the right side
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (ri, rrow) in rrows.iter().enumerate() {
-            let key: Vec<Value> = eq_pairs.iter().map(|&(_, j)| rrow[j].clone()).collect();
-            if key.iter().any(Value::is_null) {
-                continue; // NULL keys never match
-            }
-            table.entry(key).or_default().push(ri);
-        }
-        for lrow in lrows {
-            let key: Vec<Value> = eq_pairs.iter().map(|&(i, _)| lrow[i].clone()).collect();
-            let mut matched = false;
-            if !key.iter().any(Value::is_null) {
-                if let Some(ris) = table.get(&key) {
-                    for &ri in ris {
-                        let mut combined = lrow.clone();
-                        combined.extend(rrows[ri].iter().cloned());
-                        if truth(&on.eval(&combined)?) == Some(true) {
-                            out.push(combined);
-                            matched = true;
-                        }
-                    }
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut combined = lrow.clone();
-                combined.extend(std::iter::repeat_n(Value::Null, r_arity));
+    for lrow in lrows {
+        let mut matched = false;
+        for rrow in rrows {
+            let mut combined = lrow.clone();
+            combined.extend(rrow.iter().cloned());
+            if truth(&on.eval(&combined)?) == Some(true) {
                 out.push(combined);
+                matched = true;
             }
         }
-    } else {
-        for lrow in lrows {
-            let mut matched = false;
-            for rrow in rrows {
-                let mut combined = lrow.clone();
-                combined.extend(rrow.iter().cloned());
-                if truth(&on.eval(&combined)?) == Some(true) {
-                    out.push(combined);
-                    matched = true;
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut combined = lrow.clone();
-                combined.extend(std::iter::repeat_n(Value::Null, r_arity));
-                out.push(combined);
-            }
+        if !matched && kind == JoinKind::Left {
+            let mut combined = lrow.clone();
+            combined.extend(std::iter::repeat_n(Value::Null, r_arity));
+            out.push(combined);
         }
     }
     Ok(out)
@@ -817,11 +540,12 @@ impl Acc {
                 }
                 self.sum_f += *i as f64;
             }
-            Value::Float(f) => {
+            // Floats and booleans (as 0/1) feed the float sum; other
+            // types make `finish` reject SUM/AVG as non-numeric.
+            _ => {
                 self.all_int = false;
-                self.sum_f += f;
+                self.sum_f += v.as_f64().unwrap_or(0.0);
             }
-            _ => self.all_int = false,
         }
         match &self.min {
             Some(m) if v >= m => {}
@@ -897,45 +621,49 @@ impl Acc {
     }
 }
 
-/// Running hash-aggregation state: group key → (first-seen order,
-/// accumulators, per-aggregate numeric-input flags).
+/// One group: key, accumulators, per-aggregate numeric-input flags.
+type Group = (Vec<Value>, Vec<Acc>, Vec<bool>);
+
+/// Running hash-aggregation state: groups in first-seen order, plus a key
+/// → slot index. The index is built lazily over the groups it has not
+/// seen yet, so a state folded from dense group ids and finished without
+/// merging never hashes its keys.
 struct GroupState {
-    groups: HashMap<Vec<Value>, (usize, Vec<Acc>, Vec<bool>)>,
-    order: Vec<Vec<Value>>,
+    groups: Vec<Group>,
+    index: HashMap<Vec<Value>, usize>,
 }
 
 impl GroupState {
     fn new() -> Self {
         GroupState {
-            groups: HashMap::new(),
-            order: Vec::new(),
+            groups: Vec::new(),
+            index: HashMap::new(),
         }
     }
 
     /// Accumulator entry for `key`, creating it on first sight. Looks up
     /// by slice so the per-row scratch key is only cloned for new groups,
     /// not on every row.
-    fn entry(&mut self, key: &[Value], aggs: &[AggExpr]) -> &mut (usize, Vec<Acc>, Vec<bool>) {
-        if !self.groups.contains_key(key) {
-            let owned = key.to_vec();
-            self.order.push(owned.clone());
-            self.groups.insert(
-                owned,
-                (
-                    self.order.len() - 1,
+    fn entry(&mut self, key: &[Value], aggs: &[AggExpr]) -> &mut Group {
+        for (slot, group) in self.groups.iter().enumerate().skip(self.index.len()) {
+            self.index.insert(group.0.clone(), slot);
+        }
+        let slot = match self.index.get(key) {
+            Some(&slot) => slot,
+            None => {
+                self.groups.push((
+                    key.to_vec(),
                     aggs.iter().map(|a| Acc::new(a.distinct)).collect(),
                     vec![true; aggs.len()],
-                ),
-            );
-        }
-        self.groups.get_mut(key).expect("entry just ensured")
+                ));
+                self.index.insert(key.to_vec(), self.groups.len() - 1);
+                self.groups.len() - 1
+            }
+        };
+        &mut self.groups[slot]
     }
 
-    fn accumulate(
-        entry: &mut (usize, Vec<Acc>, Vec<bool>),
-        ai: usize,
-        arg: Option<Value>,
-    ) -> SqlResult<()> {
+    fn accumulate(entry: &mut Group, ai: usize, arg: Option<Value>) -> SqlResult<()> {
         match arg {
             None => {
                 // COUNT(*): count every row including NULLs
@@ -953,11 +681,14 @@ impl GroupState {
 
     /// Merge another partial state into this one. `other`'s groups are
     /// visited in its first-seen order, so merging worker states in
-    /// worker (= scan) order preserves the global first-seen order.
+    /// worker (= scan) order preserves the global first-seen order. An
+    /// empty state takes `other` as it is.
     fn merge(&mut self, other: GroupState, aggs: &[AggExpr]) -> SqlResult<()> {
-        let GroupState { mut groups, order } = other;
-        for key in order {
-            let (_, accs, numeric) = groups.remove(&key).expect("ordered key present");
+        if self.groups.is_empty() {
+            *self = other;
+            return Ok(());
+        }
+        for (key, accs, numeric) in other.groups {
             let entry = self.entry(&key, aggs);
             for (ai, acc) in accs.into_iter().enumerate() {
                 entry.1[ai].merge(acc)?;
@@ -977,81 +708,16 @@ impl GroupState {
             }
             return Ok(vec![row]);
         }
-        let mut out: Vec<(usize, Vec<Value>)> = Vec::with_capacity(self.groups.len());
-        for (key, (ord, accs, numeric)) in self.groups {
+        let mut out = Vec::with_capacity(self.groups.len());
+        for (key, accs, numeric) in self.groups {
             let mut row = key;
             for (ai, agg) in aggs.iter().enumerate() {
                 row.push(accs[ai].finish(agg.func, numeric[ai])?);
             }
-            out.push((ord, row));
+            out.push(row);
         }
-        out.sort_by_key(|(ord, _)| *ord);
-        Ok(out.into_iter().map(|(_, r)| r).collect())
+        Ok(out)
     }
-}
-
-fn aggregate(
-    db: &Database,
-    input: &Plan,
-    group_exprs: &[BExpr],
-    aggs: &[AggExpr],
-) -> SqlResult<Vec<Vec<Value>>> {
-    let rows = run(db, input)?;
-    let mut state = GroupState::new();
-    let mut key = Vec::with_capacity(group_exprs.len());
-    for row in &rows {
-        key.clear();
-        for g in group_exprs {
-            key.push(g.eval(row)?);
-        }
-        let entry = state.entry(&key, aggs);
-        for (ai, agg) in aggs.iter().enumerate() {
-            let arg = match &agg.arg {
-                None => None,
-                Some(argexpr) => Some(argexpr.eval(row)?),
-            };
-            GroupState::accumulate(entry, ai, arg)?;
-        }
-    }
-    state.finish(group_exprs, aggs)
-}
-
-/// Vectorized hash aggregation: group keys and aggregate arguments are
-/// evaluated as whole columns up front, then folded into the shared
-/// accumulators in one pass over the batch. When the group columns are
-/// typed and hashable they are dictionary-encoded into dense group ids so
-/// the accumulation loop indexes a vector instead of hashing a
-/// `Vec<Value>` per row.
-fn aggregate_batch(
-    input: &Batch,
-    group_exprs: &[BExpr],
-    aggs: &[AggExpr],
-) -> SqlResult<Vec<Vec<Value>>> {
-    let n = input.num_rows();
-    let group_cols: Vec<Arc<ColumnVec>> = group_exprs
-        .iter()
-        .map(|g| g.eval_batch(input))
-        .collect::<SqlResult<_>>()?;
-    let arg_cols: Vec<Option<Arc<ColumnVec>>> = aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| e.eval_batch(input)).transpose())
-        .collect::<SqlResult<_>>()?;
-    if !group_exprs.is_empty() && aggs.iter().all(|a| !a.distinct) {
-        if let Some((gids, keys)) = group_ids(&group_cols, n) {
-            return aggregate_by_gid(&gids, keys, &arg_cols, aggs);
-        }
-    }
-    let mut state = GroupState::new();
-    let mut key = Vec::with_capacity(group_cols.len());
-    for i in 0..n {
-        key.clear();
-        key.extend(group_cols.iter().map(|c| c.value(i)));
-        let entry = state.entry(&key, aggs);
-        for (ai, col) in arg_cols.iter().enumerate() {
-            GroupState::accumulate(entry, ai, col.as_ref().map(|c| c.value(i)))?;
-        }
-    }
-    state.finish(group_exprs, aggs)
 }
 
 /// FxHash-style multiply-xor hasher for the aggregation hot path. Not
@@ -1177,35 +843,13 @@ fn group_ids(group_cols: &[Arc<ColumnVec>], n: usize) -> Option<(Vec<u32>, Vec<V
     Some((gids, keys))
 }
 
-/// Fold aggregate argument columns into per-group accumulators indexed by
-/// dense group id, column-at-a-time. Count/Sum/Avg over typed numeric
-/// columns run over the raw slices; everything else goes through the same
-/// per-value [`Acc::update`] the generic path uses.
-fn aggregate_by_gid(
-    gids: &[u32],
-    keys: Vec<Vec<Value>>,
-    arg_cols: &[Option<Arc<ColumnVec>>],
-    aggs: &[AggExpr],
-) -> SqlResult<Vec<Vec<Value>>> {
-    let ngroups = keys.len();
-    let (accs, numeric) = fold_by_gid(gids, ngroups, arg_cols, aggs)?;
-    let mut out = Vec::with_capacity(ngroups);
-    for (g, key) in keys.into_iter().enumerate() {
-        let mut row = key;
-        for (ai, agg) in aggs.iter().enumerate() {
-            row.push(accs[g][ai].finish(agg.func, numeric[g][ai])?);
-        }
-        out.push(row);
-    }
-    Ok(out)
-}
-
 /// Per-group accumulator state: one `Acc` per aggregate per group, plus
 /// the still-numeric flag each accumulator carries for AVG/SUM coercion.
 type GroupAccs = (Vec<Vec<Acc>>, Vec<Vec<bool>>);
 
-/// The accumulation loop of the dense-id path, shared by the serial
-/// finisher ([`aggregate_by_gid`]) and the parallel partial pass.
+/// The accumulation loop of the dense-id path: count/sum/avg over typed
+/// numeric columns run over the raw slices, everything else goes through
+/// the per-value [`Acc::update`] the generic path uses.
 fn fold_by_gid(
     gids: &[u32],
     ngroups: usize,
@@ -1233,8 +877,10 @@ fn fold_by_gid(
 }
 
 /// Fold one morsel into a running [`GroupState`] (the partial phase of
-/// two-phase parallel aggregation). Reuses the dense group-id fast path
-/// per morsel when the group columns allow it.
+/// two-phase aggregation). Group keys and aggregate arguments are evaluated
+/// as whole columns; when the group columns are typed and hashable they are
+/// dictionary-encoded into dense group ids, so the accumulation loop
+/// indexes a vector instead of hashing a `Vec<Value>` per row.
 fn accumulate_batch_into(
     state: &mut GroupState,
     input: &Batch,
@@ -1253,14 +899,12 @@ fn accumulate_batch_into(
     if !group_exprs.is_empty() && aggs.iter().all(|a| !a.distinct) {
         if let Some((gids, keys)) = group_ids(&group_cols, n) {
             let (accs, numeric) = fold_by_gid(&gids, keys.len(), &arg_cols, aggs)?;
-            for ((key, accs), numeric) in keys.into_iter().zip(accs).zip(numeric) {
-                let entry = state.entry(&key, aggs);
-                for (ai, acc) in accs.into_iter().enumerate() {
-                    entry.1[ai].merge(acc)?;
-                    entry.2[ai] &= numeric[ai];
-                }
-            }
-            return Ok(());
+            let groups = keys.into_iter().zip(accs).zip(numeric);
+            let partial = GroupState {
+                groups: groups.map(|((k, a), n)| (k, a, n)).collect(),
+                index: HashMap::new(),
+            };
+            return state.merge(partial, aggs);
         }
     }
     let mut key = Vec::with_capacity(group_cols.len());

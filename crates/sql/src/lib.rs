@@ -9,7 +9,7 @@
 //! Pipeline: [`parse`] → bind/plan ([`planner`]) → optimize (an ordered
 //! rule pipeline — constant folding, filter pushdown, join reordering,
 //! index selection, projection pruning; see [`optimizer`]) → execute
-//! (vectorized, optionally morsel-parallel).
+//! (one vectorized morsel pipeline; parallelism 1 is the serial case).
 //!
 //! ```
 //! use odbis_sql::Engine;
@@ -166,7 +166,6 @@ pub fn referenced_tables(sql: &str) -> SqlResult<Vec<String>> {
 #[derive(Debug, Clone)]
 pub struct Engine {
     use_indexes: bool,
-    vectorized: bool,
     parallelism: usize,
     rules: optimizer::RuleSet,
 }
@@ -198,13 +197,12 @@ fn rules_default() -> optimizer::RuleSet {
 }
 
 impl Engine {
-    /// Engine with all optimizations enabled (vectorized columnar
-    /// execution, the full optimizer rule pipeline, index selection, and
-    /// morsel-parallel execution sized to the machine).
+    /// Engine with all optimizations enabled (the full optimizer rule
+    /// pipeline, index selection, and morsel-parallel execution sized to
+    /// the machine).
     pub fn new() -> Self {
         Engine {
             use_indexes: true,
-            vectorized: true,
             parallelism: parallelism_default(),
             rules: rules_default(),
         }
@@ -219,18 +217,8 @@ impl Engine {
         }
     }
 
-    /// Engine that executes row-at-a-time instead of over columnar batches
-    /// (the pre-columnar baseline; kept for ablations and as the reference
-    /// side of the differential harness).
-    pub fn with_row_execution() -> Self {
-        Engine {
-            vectorized: false,
-            ..Engine::new()
-        }
-    }
-
-    /// Set the worker count for morsel-parallel execution (`<= 1` =
-    /// serial vectorized execution).
+    /// Set the worker count for morsel-parallel execution (`1` = serial;
+    /// `0` is treated as `1`).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism.max(1);
         self
@@ -244,32 +232,14 @@ impl Engine {
         self
     }
 
-    /// Whether SELECTs run on the vectorized columnar path.
-    pub fn is_vectorized(&self) -> bool {
-        self.vectorized
-    }
-
     /// Worker count used by morsel-parallel execution.
     pub fn parallelism(&self) -> usize {
         self.parallelism
     }
 
-    fn exec_options(&self) -> exec::ExecOptions {
-        exec::ExecOptions {
-            parallelism: self.parallelism,
-        }
-    }
-
     /// Parse, plan, optimize and execute one statement.
     pub fn execute(&self, db: &Database, sql: &str) -> SqlResult<QueryResult> {
-        let mut span = odbis_telemetry::child_span(
-            "sql",
-            if self.vectorized {
-                "execute.vectorized"
-            } else {
-                "execute.row"
-            },
-        );
+        let mut span = odbis_telemetry::child_span("sql", "execute");
         span.set_detail(sql);
         let result = parse(sql).and_then(|stmt| self.execute_statement(db, &stmt));
         match &result {
@@ -295,16 +265,8 @@ impl Engine {
                 let plan = planner::plan_select(db, sel)?;
                 let plan = optimizer::optimize(plan, db, self.use_indexes, &self.rules);
                 let columns: Vec<String> = plan.schema.iter().map(|c| c.name.clone()).collect();
-                if self.vectorized {
-                    let batch = exec::run_batch_with(db, &plan, self.exec_options())?;
-                    Ok(QueryResult::from_batch(columns, &batch))
-                } else {
-                    Ok(QueryResult {
-                        columns,
-                        rows: exec::run(db, &plan)?,
-                        rows_affected: 0,
-                    })
-                }
+                let batch = exec::run(db, &plan, self.parallelism)?;
+                Ok(QueryResult::from_batch(columns, &batch))
             }
             Statement::CreateTable {
                 name,
@@ -394,7 +356,7 @@ impl Engine {
         let plan = planner::plan_select(db, &sel)?;
         let plan = optimizer::optimize(plan, db, self.use_indexes, &self.rules);
         let columns: Vec<String> = plan.schema.iter().map(|c| c.name.clone()).collect();
-        let batch = exec::run_batch_with(db, &plan, self.exec_options())?;
+        let batch = exec::run(db, &plan, self.parallelism)?;
         Ok((columns, batch))
     }
 
@@ -646,7 +608,7 @@ mod tests {
         // Two i64::MAX values overflow any integer accumulator; the SUM
         // must come back as the (lossy but ordered) f64 total, never as a
         // wrapped negative integer.
-        for engine in [Engine::new(), Engine::with_row_execution()] {
+        for engine in [1, 4].map(|n| Engine::new().with_parallelism(n)) {
             let db = Database::new();
             engine
                 .execute_script(
@@ -926,12 +888,12 @@ mod tests {
         );
     }
 
-    /// The TUMBLE overflow guard holds on both executors: aligning a value
-    /// at the type minimum onto a non-divisor width is an eval error on the
-    /// vectorized and the row engine alike — never a wrap or a panic.
+    /// The TUMBLE overflow guard holds serially and in parallel: aligning a
+    /// value at the type minimum onto a non-divisor width is an eval error
+    /// at every worker count — never a wrap or a panic.
     #[test]
-    fn tumble_extreme_values_error_on_both_engines() {
-        for engine in [Engine::new(), Engine::with_row_execution()] {
+    fn tumble_extreme_values_error_at_every_parallelism() {
+        for engine in [1, 4].map(|n| Engine::new().with_parallelism(n)) {
             let db = Database::new();
             engine
                 .execute(&db, "CREATE TABLE ev (t BIGINT)")

@@ -100,12 +100,24 @@ fn topk_with_limit_beyond_input_is_the_whole_sort() {
     assert_topk_matches_full_sort(&db, "score DESC, id DESC", 1000, 0);
 }
 
+/// The heap path must not depend on the worker count: serial and
+/// morsel-parallel runs both equal the full-sort reference, which is
+/// computed serially.
 #[test]
-fn topk_agrees_with_row_engine() {
+fn topk_agrees_across_parallelism() {
     let db = db();
-    let q = "SELECT id, score FROM ranked WHERE bucket < 5 ORDER BY score DESC, id LIMIT 12";
-    let vectorized = Engine::new().execute(&db, q).expect("vectorized");
-    let row = Engine::with_row_execution().execute(&db, q).expect("row");
-    assert_eq!(vectorized.rows, row.rows);
-    assert_eq!(vectorized.columns, row.columns);
+    let filtered = "SELECT id, score FROM ranked WHERE bucket < 5 ORDER BY score DESC, id";
+    let full = Engine::new()
+        .with_parallelism(1)
+        .execute(&db, filtered)
+        .expect("full sort");
+    let expected: Vec<_> = full.rows.iter().take(12).cloned().collect();
+    for n in [1, 4] {
+        let topk = Engine::new()
+            .with_parallelism(n)
+            .execute(&db, &format!("{filtered} LIMIT 12"))
+            .expect("top-k");
+        assert_eq!(topk.columns, full.columns, "parallelism {n}");
+        assert_eq!(topk.rows, expected, "parallelism {n}");
+    }
 }

@@ -785,9 +785,18 @@ fn parse_header(bytes: &[u8], origin: &Path) -> DbResult<SegmentHeader> {
     if ncols != schema.columns().len() {
         return Err(corrupt("segment column count does not match schema"));
     }
-    let mut blocks = Vec::with_capacity(ncols);
+    let mut blocks: Vec<Vec<(usize, usize)>> = Vec::with_capacity(ncols);
     for _ in 0..ncols {
+        // `nblocks` sits outside every CRC frame: bound it by the bytes
+        // left (each frame carries an 8-byte header) before allocating,
+        // and require every column to chunk the rows identically.
         let nblocks = read_u32(bytes, &mut pos, "block count")? as usize;
+        if nblocks > (bytes.len() - pos) / 8 {
+            return Err(corrupt("segment block count exceeds file size"));
+        }
+        if blocks.first().is_some_and(|b| b.len() != nblocks) {
+            return Err(corrupt("segment columns disagree on block count"));
+        }
         let mut col_blocks = Vec::with_capacity(nblocks);
         for _ in 0..nblocks {
             let start = pos;
@@ -1116,6 +1125,80 @@ mod tests {
             }
         }
         assert!(caught > 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Byte offset of each column's `nblocks` field in an encoded segment
+    /// (walks the same frame boundaries `parse_header` does).
+    fn block_count_offsets(bytes: &[u8]) -> Vec<usize> {
+        let mut pos = 16; // magic + version + last_lsn
+        for what in ["meta", "live bitmap"] {
+            read_frame(bytes, &mut pos, what).unwrap();
+        }
+        let ncols = read_u32(bytes, &mut pos, "column count").unwrap();
+        let mut out = Vec::new();
+        for _ in 0..ncols {
+            out.push(pos);
+            let nblocks = read_u32(bytes, &mut pos, "block count").unwrap();
+            for _ in 0..nblocks {
+                read_frame(bytes, &mut pos, "block").unwrap();
+            }
+        }
+        out
+    }
+
+    /// Both readers must reject `dirty` as corrupt; the cold scan prunes
+    /// on `col` so it walks that column's zone maps chunk by chunk.
+    fn assert_corrupt_on_both_readers(path: &Path, dirty: &[u8], col: usize) {
+        std::fs::write(path, dirty).unwrap();
+        match read_segment(path) {
+            Err(DbError::Corrupt(_)) => {}
+            other => panic!("read_segment: expected Corrupt, got {other:?}"),
+        }
+        match scan_segment(path, Some((col, None, None))) {
+            Err(DbError::Corrupt(_)) => {}
+            other => panic!("scan_segment: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn huge_block_count_is_corrupt_not_an_allocation() {
+        let t = wide_table(64);
+        let path = tmp("nblocks");
+        write_segment(&t, &path, 1).unwrap();
+        let mut dirty = std::fs::read(&path).unwrap();
+        // the first column: no earlier column's count to disagree with
+        let at = block_count_offsets(&dirty)[0];
+        dirty[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_corrupt_on_both_readers(&path, &dirty, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn short_column_is_corrupt_not_a_panic() {
+        // Two chunks per column; the second column declares one block and
+        // the remaining bytes still parse as frames, so only the cross-column
+        // block-count check can tell.
+        let schema = Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Int),
+        ])
+        .unwrap();
+        let mut t = Table::new("short", schema);
+        for i in 0..(BLOCK_ROWS as i64 + 5) {
+            t.insert(vec![i.into(), (i * 2).into()]).unwrap();
+        }
+        let path = tmp("short");
+        write_segment(&t, &path, 1).unwrap();
+        let mut dirty = std::fs::read(&path).unwrap();
+        let offsets = block_count_offsets(&dirty);
+        let at = offsets[1];
+        let mut pos = at + 4;
+        read_frame(&dirty, &mut pos, "block").unwrap();
+        // drop column b's second block: it now declares and holds one
+        dirty[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        dirty.truncate(pos);
+        assert_corrupt_on_both_readers(&path, &dirty, 1);
         let _ = std::fs::remove_file(&path);
     }
 

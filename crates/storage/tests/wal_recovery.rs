@@ -4,6 +4,10 @@
 //! the history — every fully-appended record is replayed, nothing after a
 //! torn byte is, and the recovered database is indistinguishable (rows,
 //! row ids, indexes) from a live database that executed the same prefix.
+//!
+//! Failpoints are process-global, so every test holds
+//! `odbis_chaos::exclusive()`: a failpoint one test arms can never fire
+//! inside another test's checkpoint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -123,6 +127,7 @@ fn reference_for_prefix(entries: &[odbis_storage::WalEntry], keep: usize) -> Dat
 /// and must yield exactly the committed frame prefix for that length.
 #[test]
 fn recovery_at_every_byte_boundary_yields_committed_prefix() {
+    let _x = odbis_chaos::exclusive();
     let dir = tmp_dir("torture");
     {
         let (db, store) = DurableStore::open(&dir, policy()).unwrap();
@@ -178,6 +183,7 @@ fn recovery_at_every_byte_boundary_yields_committed_prefix() {
 /// a torn-tail recovery and reopen once more.
 #[test]
 fn recovery_after_torn_tail_accepts_new_writes() {
+    let _x = odbis_chaos::exclusive();
     let dir = tmp_dir("torn-append");
     {
         let (db, store) = DurableStore::open(&dir, policy()).unwrap();
@@ -214,6 +220,7 @@ fn recovery_after_torn_tail_accepts_new_writes() {
 /// history, in all three persistence regimes.
 #[test]
 fn recovered_database_matches_live_across_regimes() {
+    let _x = odbis_chaos::exclusive();
     // regime 1: WAL only (no checkpoint ever taken)
     {
         let dir = tmp_dir("diff-wal");
@@ -265,6 +272,7 @@ fn recovered_database_matches_live_across_regimes() {
 /// after the drop must not resurrect anything.
 #[test]
 fn ddl_history_recovers_and_checkpoints() {
+    let _x = odbis_chaos::exclusive();
     let dir = tmp_dir("ddl");
     let (live, store) = DurableStore::open(&dir, policy()).unwrap();
     live.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
@@ -296,6 +304,7 @@ fn ddl_history_recovers_and_checkpoints() {
 /// same rows, same row ids, same indexes.
 #[test]
 fn segment_and_json_recoveries_are_identical() {
+    let _x = odbis_chaos::exclusive();
     let run = |format: SnapshotFormat| {
         let dir = tmp_dir(&format!("fmtdiff-{}", format.as_str()));
         let (live, store) = DurableStore::open_with_format(&dir, policy(), format).unwrap();
@@ -350,6 +359,7 @@ fn failed_manifest_swap_rolls_back_to_previous_checkpoint() {
 /// recovery — never as silently wrong data.
 #[test]
 fn corrupted_segment_is_detected_at_recovery() {
+    let _x = odbis_chaos::exclusive();
     let dir = tmp_dir("segcorrupt");
     {
         let (live, store) = DurableStore::open(&dir, policy()).unwrap();
@@ -381,6 +391,7 @@ fn corrupted_segment_is_detected_at_recovery() {
 /// resurrected pre-checkpoint log can never alias a post-checkpoint record.
 #[test]
 fn lsns_monotonic_across_checkpoint_and_reopen() {
+    let _x = odbis_chaos::exclusive();
     let dir = tmp_dir("lsn");
     let last = {
         let (db, store) = DurableStore::open(&dir, policy()).unwrap();

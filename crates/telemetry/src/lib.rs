@@ -36,7 +36,7 @@
 //!     let mut root = telemetry.span("acme", "MDS", "sql", 250);
 //!     root.set_rows(3);
 //!     // ... deeper layers annotate the same trace:
-//!     let child = child_span("sql", "execute.vectorized");
+//!     let child = child_span("sql", "execute");
 //!     drop(child);
 //! }
 //! let text = telemetry.render_prometheus();
@@ -269,7 +269,7 @@ mod tests {
         {
             let mut root = t.span("acme", "MDS", "sql", 0);
             root.set_rows(2);
-            let mut child = child_span("sql", "execute.vectorized");
+            let mut child = child_span("sql", "execute");
             child.set_rows(2);
         }
         let spans = t.recent_spans();

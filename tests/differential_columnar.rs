@@ -1,19 +1,26 @@
-//! Differential harness for the columnar data plane: every query in the
-//! corpus runs through the row-at-a-time executor and the vectorized
-//! batch path, and the results must be identical — same columns, same
-//! rows, same order.
+//! Differential harness for the SQL executor: every query in the corpus,
+//! the error list and the seeded star queries run through the naive
+//! reference evaluator (`naive`: the unoptimized plan, interpreted row at
+//! a time) and through each candidate engine configuration, and the
+//! results must agree — same columns, same rows, in the same order when
+//! the query orders them; floats to a 1e-9 relative tolerance. The
+//! configurations that share the optimized plan must also agree with the
+//! serial one row for row, in order, on every query.
 
+mod naive;
+
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use odbis_bench::workloads;
 use odbis_sql::{Engine, QueryResult};
-use odbis_storage::Database;
+use odbis_storage::{Database, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// A database mixing the generated healthcare star schema with a small
-/// hand-built table exercising NULLs, booleans, dates, negative numbers
-/// and mixed-case text.
+/// A database mixing the generated healthcare star schema with small
+/// hand-built tables exercising NULLs, booleans, dates, negative numbers,
+/// mixed-case text and integer SUMs that overflow i64.
 fn corpus_db() -> Arc<Database> {
     let db = workloads::healthcare_db(500, 42);
     Engine::new()
@@ -28,7 +35,10 @@ fn corpus_db() -> Arc<Database> {
                (3, 'b', 30, NULL, NULL, NULL, NULL),
                (4, NULL, 40, 4.0, TRUE, 'delta', DATE '2021-01-01'),
                (5, 'b', 0, 0.0, FALSE, 'Epsilon', DATE '2019-06-15'),
-               (6, 'c', -7, -1.25, TRUE, 'zeta', DATE '2020-01-01');",
+               (6, 'c', -7, -1.25, TRUE, 'zeta', DATE '2020-01-01');
+             CREATE TABLE big (g INT, v INT);
+             INSERT INTO big VALUES (1, 9223372036854775807), (1, 9223372036854775807),
+                                    (2, 7), (2, -3), (3, NULL);",
         )
         .expect("corpus DDL");
     Arc::new(db)
@@ -86,6 +96,13 @@ const CORPUS: &[&str] = &[
     "SELECT dept_id, SUM(cost) AS total FROM fact_admission GROUP BY dept_id HAVING SUM(cost) > 10000.0",
     "SELECT COUNT(*) AS n, MIN(cost) AS lo, MAX(cost) AS hi FROM fact_admission",
     "SELECT COUNT(DISTINCT dept_id) AS depts FROM fact_admission",
+    "SELECT grp, COUNT(DISTINCT val) AS n, MIN(label) AS lo, MAX(d) AS hi FROM edge GROUP BY grp",
+    "SELECT dept_id, AVG(stay_days) AS mean FROM fact_admission GROUP BY dept_id",
+    // SUM promotes to Float on i64 overflow, per group; all-NULL is NULL
+    "SELECT g, SUM(v) AS s, AVG(v) AS m, COUNT(v) AS n FROM big GROUP BY g",
+    "SELECT SUM(v) AS s FROM big",
+    // booleans aggregate as 0/1
+    "SELECT SUM(flag) AS s, AVG(flag) AS a FROM edge",
     "SELECT COUNT(*) AS n FROM edge WHERE val > 1000",
     // DISTINCT / ORDER BY / LIMIT / OFFSET
     "SELECT DISTINCT grp FROM edge",
@@ -101,83 +118,136 @@ const CORPUS: &[&str] = &[
     "SELECT 1 + 2 AS three, UPPER('ok') AS ok",
 ];
 
-fn assert_same(sql: &str, reference: &QueryResult, candidate: &QueryResult, label: &str) {
-    assert_eq!(
-        reference.columns, candidate.columns,
-        "column mismatch ({label}) for: {sql}"
-    );
-    assert_eq!(
-        reference.rows, candidate.rows,
-        "row mismatch ({label}) for: {sql}"
-    );
+/// The candidate engine configurations checked against the reference.
+/// Index selection changes the plan shape (IndexScan vs filtered
+/// TableScan), join reordering changes the join order, and the worker
+/// count changes the morsel pipeline; none may change the answer.
+fn candidates() -> Vec<(&'static str, Engine)> {
+    vec![
+        ("default", Engine::new()),
+        ("no-index-selection", Engine::without_index_selection()),
+        ("parallelism-1", Engine::new().with_parallelism(1)),
+        ("parallelism-4", Engine::new().with_parallelism(4)),
+        (
+            "optimizer-disabled",
+            Engine::new().with_optimizer_rules("none"),
+        ),
+    ]
 }
 
-/// Like [`assert_same`] but tolerant of row order when the query has no
-/// `ORDER BY` — used when reference and candidate run different plan
-/// shapes (index scan vs table scan), where unordered results may come
-/// back in different but equally valid orders.
-fn assert_same_unordered(sql: &str, reference: &QueryResult, candidate: &QueryResult, label: &str) {
-    if sql.to_ascii_uppercase().contains("ORDER BY") {
-        return assert_same(sql, reference, candidate, label);
+/// Value equality with floats compared to a 1e-9 relative tolerance: a
+/// parallel SUM merges partial sums in a different association than the
+/// reference's running sum.
+fn values_agree(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => {
+            x == y || (x - y).abs() <= 1e-9 * x.abs().max(y.abs())
+        }
+        _ => a == b,
     }
+}
+
+fn rows_agree(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| values_agree(x, y))
+}
+
+/// Assert `candidate` answers `sql` like `reference`. Without `ORDER BY`
+/// the row order is the plan's business (the reference runs unoptimized,
+/// in scan and nested-loop order), so both sides are compared as sorted
+/// multisets.
+fn assert_agree(sql: &str, reference: &QueryResult, candidate: &QueryResult, label: &str) {
     assert_eq!(
         reference.columns, candidate.columns,
         "column mismatch ({label}) for: {sql}"
     );
-    let canonical = |r: &QueryResult| {
-        let mut rows: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
-        rows.sort();
-        rows
-    };
+    let (mut expected, mut got) = (reference.rows.clone(), candidate.rows.clone());
+    if !sql.to_ascii_uppercase().contains("ORDER BY") {
+        let total = |a: &Vec<Value>, b: &Vec<Value>| {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| x.cmp_total(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
+        expected.sort_by(total);
+        got.sort_by(total);
+    }
     assert_eq!(
-        canonical(reference),
-        canonical(candidate),
-        "row multiset mismatch ({label}) for: {sql}"
+        expected.len(),
+        got.len(),
+        "row count mismatch ({label}) for: {sql}"
     );
+    for (i, (e, g)) in expected.iter().zip(&got).enumerate() {
+        assert!(
+            rows_agree(e, g),
+            "row {i} mismatch ({label}) for: {sql}\n  reference: {e:?}\n  candidate: {g:?}"
+        );
+    }
+}
+
+/// Candidates that run the same optimized plan at different worker
+/// counts; their rows must come out in the same order on every query.
+const SAME_PLAN: [&str; 2] = ["default", "parallelism-4"];
+
+/// Run `sql` on the reference and on each of `engines`, asserting success
+/// and agreement. Besides the multiset/ordered check against the
+/// reference, every [`SAME_PLAN`] candidate must return exactly the rows
+/// of `parallelism-1`, in order: the executor's row order never depends
+/// on the worker count, `ORDER BY` or not.
+fn check_against_reference(db: &Database, sql: &str, engines: &[(&str, Engine)]) {
+    let reference =
+        naive::execute(db, sql).unwrap_or_else(|e| panic!("reference failed for {sql}: {e}"));
+    let results: Vec<(&str, QueryResult)> = engines
+        .iter()
+        .map(|(label, engine)| {
+            let candidate = engine
+                .execute(db, sql)
+                .unwrap_or_else(|e| panic!("{label} failed for {sql}: {e}"));
+            assert_agree(sql, &reference, &candidate, label);
+            (*label, candidate)
+        })
+        .collect();
+    let Some((_, serial)) = results.iter().find(|(l, _)| *l == "parallelism-1") else {
+        return;
+    };
+    for (label, candidate) in results.iter().filter(|(l, _)| SAME_PLAN.contains(l)) {
+        assert_eq!(
+            serial.rows, candidate.rows,
+            "row order differs between parallelism-1 and {label} for: {sql}"
+        );
+    }
 }
 
 #[test]
 fn vectorized_path_matches_row_path() {
     let db = corpus_db();
-    let row_engine = Engine::with_row_execution();
-    let vec_engine = Engine::new();
+    let engines: Vec<_> = candidates()
+        .into_iter()
+        .filter(|(label, _)| *label != "no-index-selection")
+        .collect();
     for sql in CORPUS {
-        let reference = row_engine
-            .execute(&db, sql)
-            .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
-        let candidate = vec_engine
-            .execute(&db, sql)
-            .unwrap_or_else(|e| panic!("vectorized path failed for {sql}: {e}"));
-        assert_same(sql, &reference, &candidate, "vectorized+indexes");
+        check_against_reference(&db, sql, &engines);
     }
 }
 
 #[test]
 fn vectorized_path_matches_row_path_without_indexes() {
-    // Index selection changes the plan shape (IndexScan vs filtered
-    // TableScan); results must not depend on it on either path.
     let db = corpus_db();
-    let row_engine = Engine::with_row_execution();
-    let vec_engine = Engine::without_index_selection();
+    let engines: Vec<_> = candidates()
+        .into_iter()
+        .filter(|(label, _)| *label == "no-index-selection")
+        .collect();
     for sql in CORPUS {
-        let reference = row_engine
-            .execute(&db, sql)
-            .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
-        let candidate = vec_engine
-            .execute(&db, sql)
-            .unwrap_or_else(|e| panic!("vectorized (no index) path failed for {sql}: {e}"));
-        assert_same_unordered(sql, &reference, &candidate, "vectorized-no-indexes");
+        check_against_reference(&db, sql, &engines);
     }
 }
 
 #[test]
 fn both_paths_agree_on_errors() {
-    // The vectorized path may surface a *different* failing row than the
-    // row-at-a-time path (it evaluates column-wise), so messages are not
-    // compared — but whether a query errors must match.
+    // A column-wise candidate may surface a *different* failing row than
+    // the row-at-a-time reference, so messages are not compared — but
+    // whether a query errors must match.
     let db = corpus_db();
-    let row_engine = Engine::with_row_execution();
-    let vec_engine = Engine::new();
     let failing = [
         "SELECT 1 / 0",
         "SELECT id, 100 / val AS q FROM edge", // val = 0 on one row
@@ -187,19 +257,55 @@ fn both_paths_agree_on_errors() {
         "SELECT id FROM edge WHERE label + 1 > 0", // text arithmetic
     ];
     for sql in &failing {
-        let row = row_engine.execute(&db, sql);
-        let vec = vec_engine.execute(&db, sql);
-        assert!(row.is_err(), "row path unexpectedly succeeded for: {sql}");
         assert!(
-            vec.is_err(),
-            "vectorized path unexpectedly succeeded for: {sql}"
+            naive::execute(&db, sql).is_err(),
+            "reference unexpectedly succeeded for: {sql}"
         );
+        for (label, engine) in candidates() {
+            assert!(
+                engine.execute(&db, sql).is_err(),
+                "{label} unexpectedly succeeded for: {sql}"
+            );
+        }
     }
+}
+
+/// The reference itself is checked against answers worked out by hand: a
+/// LEFT JOIN that NULL-extends one row, grouped (NULL forms its own group,
+/// first-seen order) and ordered DESC with a tie broken by the second key.
+#[test]
+fn naive_reference_matches_hand_computed_answer() {
+    let db = Database::new();
+    Engine::new()
+        .execute_script(
+            &db,
+            "CREATE TABLE o (id INT, cust INT, amt INT);
+             CREATE TABLE c (id INT, region TEXT);
+             INSERT INTO o VALUES (1, 10, 5), (2, 20, 7), (3, 30, 9);
+             INSERT INTO c VALUES (10, 'EU'), (20, 'US');",
+        )
+        .unwrap();
+    let sql = "SELECT c.region, COUNT(*) AS n, SUM(o.amt) AS total \
+               FROM o LEFT JOIN c ON o.cust = c.id \
+               GROUP BY c.region ORDER BY n DESC, total DESC";
+    // joined: (1,10,5,10,EU) (2,20,7,20,US) (3,30,9,NULL,NULL)
+    // groups: EU → 1 row, 5; US → 1 row, 7; NULL → 1 row, 9
+    // n ties at 1 everywhere, so total DESC decides: NULL 9, US 7, EU 5
+    let expected = vec![
+        vec![Value::Null, Value::Int(1), Value::Int(9)],
+        vec![Value::from("US"), Value::Int(1), Value::Int(7)],
+        vec![Value::from("EU"), Value::Int(1), Value::Int(5)],
+    ];
+    let r = naive::execute(&db, sql).unwrap();
+    assert_eq!(r.columns, vec!["region", "n", "total"]);
+    assert_eq!(r.rows, expected);
+    check_against_reference(&db, sql, &candidates());
 }
 
 // ---------------------------------------------------------------------------
 // Seeded random-query generator: star-schema queries (joins, group-by,
-// order/limit) checked across four engine configurations. The seeds are the
+// order/limit) checked against the reference on every candidate engine
+// configuration. The seeds are the
 // chaos suite's replay constants — rerun a failure by grepping the printed
 // query.
 // ---------------------------------------------------------------------------
@@ -309,33 +415,17 @@ fn gen_query(rng: &mut StdRng) -> String {
     }
 }
 
-/// Every generated query must agree across all four engine configurations:
-/// row-at-a-time reference, serial vectorized, morsel-parallel vectorized,
-/// and vectorized with the whole optimizer pipeline disabled.
+/// Every generated query must agree with the naive reference on every
+/// candidate configuration.
 #[test]
 fn random_star_queries_agree_across_engine_configs() {
     let db = corpus_db();
-    let row_engine = Engine::with_row_execution();
-    let serial = Engine::new().with_parallelism(1);
-    let parallel = Engine::new().with_parallelism(4);
-    let unoptimized = Engine::new().with_optimizer_rules("none");
+    let engines = candidates();
     for seed in GENERATOR_SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
-        for i in 0..QUERIES_PER_SEED {
+        for _ in 0..QUERIES_PER_SEED {
             let sql = gen_query(&mut rng);
-            let reference = row_engine
-                .execute(&db, &sql)
-                .unwrap_or_else(|e| panic!("row path failed (seed {seed}, #{i}) for {sql}: {e}"));
-            for (engine, label) in [
-                (&serial, "serial-vectorized"),
-                (&parallel, "parallel-vectorized"),
-                (&unoptimized, "optimizer-disabled"),
-            ] {
-                let candidate = engine.execute(&db, &sql).unwrap_or_else(|e| {
-                    panic!("{label} failed (seed {seed}, #{i}) for {sql}: {e}")
-                });
-                assert_same_unordered(&sql, &reference, &candidate, label);
-            }
+            check_against_reference(&db, &sql, &engines);
         }
     }
 }
@@ -374,18 +464,10 @@ fn multi_morsel_aggregates_agree_across_parallelism() {
                 "workers={workers} for: {sql}"
             );
             for (e, g) in expected.rows.iter().zip(&got.rows) {
-                for (a, b) in e.iter().zip(g) {
-                    match (a, b) {
-                        (odbis_storage::Value::Float(x), odbis_storage::Value::Float(y)) => {
-                            let scale = x.abs().max(y.abs()).max(1.0);
-                            assert!(
-                                (x - y).abs() <= 1e-9 * scale,
-                                "workers={workers}: {x} vs {y} for: {sql}"
-                            );
-                        }
-                        _ => assert_eq!(a, b, "workers={workers} for: {sql}"),
-                    }
-                }
+                assert!(
+                    rows_agree(e, g),
+                    "workers={workers}: {e:?} vs {g:?} for: {sql}"
+                );
             }
         }
     }

@@ -80,17 +80,6 @@ fn fsync_default() -> String {
     }
 }
 
-/// The declared default for `durability.format`: the
-/// `ODBIS_DURABILITY_FORMAT` environment variable when set to `json` (the
-/// CI persist job A/Bs both formats), otherwise `segments` — binary
-/// columnar segments with incremental checkpoints.
-fn format_default() -> String {
-    match std::env::var("ODBIS_DURABILITY_FORMAT").as_deref() {
-        Ok(v) if v.eq_ignore_ascii_case("json") => "json".to_string(),
-        _ => "segments".to_string(),
-    }
-}
-
 /// The declared default for an admission-control limit: the corresponding
 /// `ODBIS_LIMITS_*` environment variable when it parses as an integer,
 /// otherwise `fallback`. Admission limits default open (`limits.rate` 0 =
@@ -129,7 +118,6 @@ impl PlatformConfig {
             ("sql.parallelism", ConfigValue::Int(0)),
             ("sql.optimizer_rules", ConfigValue::from("all")),
             ("durability.fsync", ConfigValue::Str(fsync_default())),
-            ("durability.format", ConfigValue::Str(format_default())),
             ("telemetry.enabled", ConfigValue::Bool(true)),
             ("telemetry.slow_ms", ConfigValue::Int(250)),
             ("chaos.enabled", ConfigValue::Bool(false)),
@@ -284,6 +272,20 @@ mod tests {
             cfg.get_int("t", "platform.name"),
             Err(ConfigError::TypeMismatch { .. })
         ));
+    }
+
+    /// Segments are the only checkpoint format, so the key that once
+    /// chose between formats is gone; setting it is an unknown-key error
+    /// rather than a silently ignored override.
+    #[test]
+    fn retired_checkpoint_format_key_is_unknown() {
+        let cfg = PlatformConfig::with_defaults();
+        let key = ["durability", "format"].join(".");
+        assert!(matches!(
+            cfg.set_for_tenant("t", &key, "segments".into()),
+            Err(ConfigError::UnknownKey(k)) if k == key
+        ));
+        assert!(!cfg.keys().contains(&key));
     }
 
     #[test]

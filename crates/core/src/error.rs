@@ -23,7 +23,7 @@ pub enum PlatformError {
     Delivery(String),
     /// MDDWS failure.
     Mddws(String),
-    /// Storage-engine/durability failure (WAL, snapshot, recovery).
+    /// Storage-engine/durability failure (WAL, segments, recovery).
     Storage(String),
     /// A named resource (data set, data source, report...) does not exist.
     NotFound(String),

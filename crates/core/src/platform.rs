@@ -24,9 +24,7 @@ use odbis_olap::{
 };
 use odbis_reporting::{Dashboard, RenderedReport, ReportTemplate, ReportingService};
 use odbis_sql::{Engine, QueryResult};
-use odbis_storage::{
-    Database, DbResult, DurableStore, FsyncPolicy, SnapshotFormat, Wal, WalRecord, WalSink,
-};
+use odbis_storage::{Database, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord, WalSink};
 use odbis_telemetry::Telemetry;
 use odbis_tenancy::{ServiceKind, SubscriptionPlan, TenantRegistry, UsageMeter};
 use parking_lot::{Mutex, RwLock};
@@ -81,7 +79,7 @@ pub struct TenantWorkspace {
     publish_lock: Mutex<()>,
     /// MDDWS projects by name.
     pub projects: Mutex<HashMap<String, DwProject>>,
-    /// The tenant's durable store (snapshot + WAL), when the platform was
+    /// The tenant's durable store (segments + WAL), when the platform was
     /// booted with a data directory. `None` for in-memory platforms.
     pub durable: Option<Arc<DurableStore>>,
 }
@@ -203,7 +201,7 @@ impl TenantWorkspace {
     }
 
     /// Open (or recover) a durable workspace rooted at `dir`: load the
-    /// snapshot, replay the WAL, and journal every future warehouse
+    /// segments, replay the WAL, and journal every future warehouse
     /// mutation through a telemetry-metered sink. Re-provisioning a tenant
     /// over an existing directory recovers exactly the committed state.
     /// (WAL replay happens before the sink is attached, so recovery never
@@ -212,10 +210,9 @@ impl TenantWorkspace {
         tenant_id: &str,
         dir: PathBuf,
         policy: FsyncPolicy,
-        format: SnapshotFormat,
         telemetry: Arc<Telemetry>,
     ) -> PlatformResult<Self> {
-        let (db, store) = DurableStore::open_with_format(dir, policy, format)?;
+        let (db, store) = DurableStore::open(dir, policy)?;
         let warehouse = Arc::new(db);
         let store = Arc::new(store);
         let deltas = Arc::new(DeltaBuffer::default());
@@ -404,7 +401,6 @@ impl DurabilityHook for TenantDurability {
         Ok(DurabilityStatus {
             tenant: tenant.to_string(),
             fsync: store.wal().policy().as_str().to_string(),
-            format: store.format().as_str().to_string(),
             wal_appends: stats.appends,
             wal_bytes: stats.bytes,
             wal_file_len: stats.file_len,
@@ -491,7 +487,7 @@ impl OdbisPlatform {
     }
 
     /// Boot a durable platform rooted at `dir`: every tenant provisioned
-    /// afterwards gets a write-ahead log plus snapshot under
+    /// afterwards gets a write-ahead log plus segments under
     /// `dir/<tenant>/`, and re-provisioning over an existing directory
     /// recovers the committed state.
     pub fn with_data_dir(dir: impl Into<PathBuf>) -> Self {
@@ -657,18 +653,10 @@ impl OdbisPlatform {
                         .get_str(id, "durability.fsync")
                         .unwrap_or_else(|_| "never".into()),
                 );
-                let format = SnapshotFormat::parse(
-                    &self
-                        .admin
-                        .config
-                        .get_str(id, "durability.format")
-                        .unwrap_or_else(|_| "segments".into()),
-                );
                 Arc::new(TenantWorkspace::durable(
                     id,
                     root.join(id),
                     policy,
-                    format,
                     Arc::clone(&self.admin.telemetry),
                 )?)
             }
@@ -689,7 +677,7 @@ impl OdbisPlatform {
 
     // ---- durability ----------------------------------------------------------
 
-    /// Checkpoint a tenant's durable store: fold the WAL into the snapshot
+    /// Checkpoint a tenant's durable store: fold the WAL into segments
     /// and truncate the log. Admin-only; errors with `NotFound` when the
     /// platform (or the tenant) has no durable store.
     pub fn checkpoint_tenant(
@@ -1919,7 +1907,7 @@ mod durability_tests {
         let prom = p.admin.telemetry.render_prometheus();
         assert!(prom.contains("odbis_wal_appends_total{tenant=\"acme\"}"));
         assert!(prom.contains("odbis_checkpoints_total{tenant=\"acme\"} 1"));
-        // post-checkpoint restart recovers from the snapshot alone
+        // post-checkpoint restart recovers from the segments alone
         drop(p);
         let (p2, token2) = boot_durable(&dir);
         let r = p2.sql("acme", &token2, "SELECT COUNT(*) FROM t").unwrap();

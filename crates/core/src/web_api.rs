@@ -643,7 +643,6 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                     serde_json::json!({
                         "tenant": s.tenant,
                         "fsync": s.fsync,
-                        "format": s.format,
                         "walAppends": s.wal_appends,
                         "walBytes": s.wal_bytes,
                         "walFileLen": s.wal_file_len,

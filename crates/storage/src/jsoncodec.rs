@@ -1,12 +1,13 @@
 //! Hand-rolled JSON codecs for the persistence layer.
 //!
-//! Snapshots and WAL payloads are encoded by explicitly building
-//! `serde_json::Value` trees (and decoded by walking them) rather than by
-//! derived (de)serialization. The explicit tree is the on-disk format
-//! specification: every field written and read is visible here, the
-//! encoding is independent of struct layout (reordering fields can't
-//! silently change the format), and the codec only relies on the stable
-//! `Value` API, so it behaves identically wherever the crate builds.
+//! WAL payloads and the schema in each segment header are encoded by
+//! explicitly building `serde_json::Value` trees (and decoded by walking
+//! them) rather than by derived (de)serialization. The explicit tree is
+//! the on-disk format specification: every field written and read is
+//! visible here, the encoding is independent of struct layout (reordering
+//! fields can't silently change the format), and the codec only relies on
+//! the stable `Value` API, so it behaves identically wherever the crate
+//! builds.
 //!
 //! Scalar encoding is typed where JSON is lossy: `Int` and `Float` map to
 //! JSON numbers (integer vs. decimal form disambiguates), `Date` and
@@ -18,7 +19,7 @@ use serde_json::{Map, Number, Value as Json};
 
 use crate::error::{DbError, DbResult};
 use crate::schema::{Column, Schema};
-use crate::table::{RowId, Table};
+use crate::table::RowId;
 use crate::value::{DataType, Value};
 use crate::wal::WalRecord;
 
@@ -218,72 +219,6 @@ pub(crate) fn schema_from_json(v: &Json) -> DbResult<Schema> {
     schema
         .with_primary_key(&refs)
         .map_err(|e| corrupt(e.to_string()))
-}
-
-// -------------------------------------------------------------------- tables
-
-/// Encode a table: schema, every row slot (tombstones as `null`, so row
-/// ids survive the round trip), and index definitions (entries are
-/// rebuilt on load).
-pub(crate) fn table_to_json(t: &Table) -> Json {
-    let rows: Vec<Json> = t
-        .raw_rows()
-        .iter()
-        .map(|slot| match slot {
-            Some(row) => row_to_json(row),
-            None => Json::Null,
-        })
-        .collect();
-    let indexes: Vec<Json> = t
-        .indexes()
-        .iter()
-        .map(|ix| {
-            obj(vec![
-                ("name", Json::String(ix.name.clone())),
-                (
-                    "columns",
-                    Json::Array(ix.columns.iter().map(|&c| int(c as i64)).collect()),
-                ),
-                ("unique", Json::Bool(ix.unique)),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("name", Json::String(t.name.clone())),
-        ("schema", schema_to_json(t.schema())),
-        ("rows", Json::Array(rows)),
-        ("indexes", Json::Array(indexes)),
-    ])
-}
-
-/// Decode a table, rebuilding index entries (and re-verifying uniqueness).
-pub(crate) fn table_from_json(v: &Json) -> DbResult<Table> {
-    let name = str_field(v, "name")?;
-    let schema = schema_from_json(
-        v.get("schema")
-            .ok_or_else(|| corrupt("missing table schema"))?,
-    )?;
-    let mut rows = Vec::new();
-    for slot in array_field(v, "rows")? {
-        rows.push(if slot.is_null() {
-            None
-        } else {
-            Some(row_from_json(slot)?)
-        });
-    }
-    let mut indexes = Vec::new();
-    for ix in array_field(v, "indexes")? {
-        let cols: Vec<usize> = array_field(ix, "columns")?
-            .iter()
-            .map(|c| {
-                c.as_i64()
-                    .map(|i| i as usize)
-                    .ok_or_else(|| corrupt("index column is not an integer"))
-            })
-            .collect::<DbResult<_>>()?;
-        indexes.push((str_field(ix, "name")?, cols, bool_field(ix, "unique")?));
-    }
-    Table::from_parts(name, schema, rows, indexes)
 }
 
 // --------------------------------------------------------------- WAL records

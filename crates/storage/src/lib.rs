@@ -12,12 +12,11 @@
 //! * columnar [`Batch`]es produced by vectorized scans
 //!   ([`Table::scan_batch`] / [`Database::scan_batch`]);
 //! * a concurrent [`Database`] catalog with undo-log [`Txn`] transactions;
-//! * JSON snapshot persistence ([`save_snapshot`] / [`load_snapshot`]);
 //! * crash-safe durability: a checksummed write-ahead log with checkpoint
 //!   and recovery ([`Wal`] / [`DurableStore`], see the [`wal`] module);
 //! * binary columnar checkpoint segments with CRC-checked encoded blocks,
 //!   zone maps, and incremental flushing (the [`segment`] and [`manifest`]
-//!   modules, selected via [`SnapshotFormat`]);
+//!   modules) — the only checkpoint format;
 //! * exact [`TableStats`] for the SQL optimizer.
 //!
 //! ```
@@ -52,7 +51,6 @@ pub use batch::{Batch, ColumnBuilder, ColumnData, ColumnVec};
 pub use database::{Database, Txn};
 pub use error::{DbError, DbResult};
 pub use manifest::{Manifest, SegmentEntry};
-pub use persist::{load_snapshot, save_snapshot, SNAPSHOT_VERSION};
 pub use schema::{resolve_column, Column, Schema};
 pub use segment::{scan_segment, Encoding, SegmentScan, BLOCK_ROWS};
 pub use stats::{ColumnStats, TableStats};
@@ -62,6 +60,6 @@ pub use value::{
     parse_timestamp, DataType, Value,
 };
 pub use wal::{
-    read_wal, replay_record, CheckpointImage, CheckpointReport, DurableStore, FsyncPolicy,
-    SnapshotFormat, Wal, WalEntry, WalRecord, WalSink, WalStats, WalTail,
+    read_wal, replay_record, CheckpointImage, CheckpointReport, DurableStore, FsyncPolicy, Wal,
+    WalEntry, WalRecord, WalSink, WalStats, WalTail,
 };

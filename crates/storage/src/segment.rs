@@ -1249,17 +1249,4 @@ mod tests {
         assert_eq!(all.chunks_decoded, 4);
         let _ = std::fs::remove_file(&path);
     }
-
-    #[test]
-    fn segments_are_smaller_than_json_for_typical_bi_data() {
-        let t = wide_table(5000);
-        let path = tmp("size");
-        let seg_bytes = write_segment(&t, &path, 1).unwrap();
-        let json_bytes = crate::jsoncodec::table_to_json(&t).to_string().len() as u64;
-        assert!(
-            seg_bytes < json_bytes / 2,
-            "segment {seg_bytes}B should be well under half the JSON {json_bytes}B"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
 }

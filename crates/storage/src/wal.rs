@@ -24,24 +24,25 @@
 //!
 //! ## Checkpoint protocol
 //!
-//! [`DurableStore::checkpoint`] folds the log into the JSON snapshot:
+//! [`DurableStore::checkpoint`] folds the log into columnar segments:
 //! holding the catalog read lock (excludes DDL) plus *every* table's read
 //! lock in canonical order (excludes appenders, who journal under their
-//! table's write lock), it writes a snapshot stamped with the last
-//! assigned LSN, then truncates the log. The LSN stamp is read only after
-//! all table read locks are held, so every assigned LSN corresponds to an
-//! applied mutation visible in the snapshot cut. If the process dies
-//! *between* snapshot and truncation, recovery still converges: replay
-//! skips every record whose LSN is `<=` the snapshot's `last_lsn`, so
+//! table's write lock), it writes a fresh segment for each dirty table,
+//! commits a `manifest.json` stamped with the last assigned LSN, then
+//! truncates the log. The LSN stamp is read only after all table read
+//! locks are held, so every assigned LSN corresponds to an applied
+//! mutation visible in the checkpoint cut. If the process dies *between*
+//! the manifest swap and truncation, recovery still converges: replay
+//! skips every record whose LSN is `<=` the manifest's `last_lsn`, so
 //! pre-checkpoint frames left in the log are no-ops.
 //!
 //! ## Recovery invariants
 //!
-//! [`DurableStore::open`] yields exactly the committed prefix: snapshot
-//! state, plus every fully-written post-snapshot record, in append order.
-//! Row ids are stable across recovery (snapshots preserve tombstone slots
-//! and replayed inserts re-allocate the same slot), so `Update`/`Delete`
-//! records always land on the row they journaled.
+//! [`DurableStore::open`] yields exactly the committed prefix: segment
+//! state, plus every fully-written post-checkpoint record, in append
+//! order. Row ids are stable across recovery (segments preserve tombstone
+//! slots and replayed inserts re-allocate the same slot), so
+//! `Update`/`Delete` records always land on the row they journaled.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -57,7 +58,6 @@ use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::manifest::{self, Manifest, SegmentEntry};
 use crate::segment;
-use crate::table::Table;
 
 /// Map a triggered failpoint into the storage error domain. Injected
 /// faults surface as [`DbError::Io`] — the same class a real disk failure
@@ -388,7 +388,7 @@ impl Wal {
     }
 
     /// Truncate the log to empty (checkpoint has folded it into the
-    /// snapshot). The LSN counter keeps running — LSNs are never reused.
+    /// segments). The LSN counter keeps running — LSNs are never reused.
     /// Returns the number of bytes discarded.
     fn reset(&self) -> DbResult<u64> {
         odbis_chaos::check("wal.reset").map_err(chaos_err)?;
@@ -512,9 +512,8 @@ pub fn replay_record(db: &Database, record: &WalRecord) -> DbResult<()> {
 pub struct CheckpointReport {
     /// Tables captured in the checkpoint cut.
     pub tables: usize,
-    /// Tables actually re-encoded to disk. Under [`SnapshotFormat::Json`]
-    /// every table is rewritten, so this equals `tables`; under
-    /// [`SnapshotFormat::Segments`] only dirty tables are flushed.
+    /// Tables actually re-encoded to disk: only dirty tables are flushed,
+    /// clean ones keep their segment.
     pub tables_flushed: usize,
     /// Log bytes folded into the checkpoint and discarded.
     pub wal_bytes_folded: u64,
@@ -522,42 +521,16 @@ pub struct CheckpointReport {
     pub micros: u64,
 }
 
-/// Which on-disk checkpoint format a [`DurableStore`] writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotFormat {
-    /// The row-oriented `snapshot.json` full rewrite — the v1 format, kept
-    /// for A/B comparison via `durability.format = json`.
-    Json,
-    /// Binary columnar segments plus a `manifest.json` commit point;
-    /// checkpoints are incremental (only dirty tables are re-encoded).
-    /// The default.
-    #[default]
-    Segments,
-}
-
-impl SnapshotFormat {
-    /// Parse a `durability.format` config value (`"json"` / `"segments"`,
-    /// case-insensitive); anything else falls back to the default,
-    /// [`SnapshotFormat::Segments`].
-    pub fn parse(s: &str) -> SnapshotFormat {
-        if s.eq_ignore_ascii_case("json") {
-            SnapshotFormat::Json
-        } else {
-            SnapshotFormat::Segments
-        }
-    }
-
-    /// The config spelling of this format.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SnapshotFormat::Json => "json",
-            SnapshotFormat::Segments => "segments",
-        }
-    }
-}
-
-const SNAPSHOT_FILE: &str = "snapshot.json";
 const MANIFEST_FILE: &str = "manifest.json";
+/// The whole-warehouse JSON checkpoint older builds wrote. This build
+/// cannot read it, so [`DurableStore::open`] refuses a directory holding
+/// one rather than recover it as an empty database.
+const LEGACY_SNAPSHOT_FILE: &str = "snapshot.json";
+
+/// `seg-*.seg`, as a bare file name (no path separator).
+fn is_segment_file(name: &str) -> bool {
+    name.starts_with("seg-") && name.ends_with(".seg") && !name.contains(std::path::is_separator)
+}
 
 /// A byte-level copy of a store's checkpoint artifact, produced by
 /// [`DurableStore::export_checkpoint`] for shipping to another node
@@ -570,9 +543,9 @@ pub struct CheckpointImage {
     /// image and must be shipped separately as a [`WalTail`].
     pub last_lsn: u64,
     /// `(file name, raw bytes)` pairs relative to the store directory —
-    /// the manifest plus its segments, or a lone JSON snapshot. Empty
-    /// when the store has never checkpointed (`last_lsn` is then 0 and
-    /// the WAL tail carries the whole history).
+    /// the manifest plus its segments. Empty when the store has never
+    /// checkpointed (`last_lsn` is then 0 and the WAL tail carries the
+    /// whole history).
     pub files: Vec<(String, Vec<u8>)>,
 }
 
@@ -593,18 +566,14 @@ pub struct WalTail {
 }
 
 /// A checkpoint + log pair rooted in one directory: the durable home of
-/// one tenant's warehouse. Depending on the [`SnapshotFormat`], the
-/// checkpoint artifact is either `snapshot.json` or `manifest.json` plus
-/// immutable `seg-*.seg` columnar segment files; `wal.log` sits alongside
-/// either.
+/// one tenant's warehouse. The checkpoint is `manifest.json` plus
+/// immutable `seg-*.seg` columnar segment files; `wal.log` sits alongside.
 pub struct DurableStore {
     dir: PathBuf,
     wal: Arc<Wal>,
-    format: SnapshotFormat,
     /// Live segments as of the last successful manifest swap (or of
-    /// recovery). `None` when the last checkpoint artifact is not a
-    /// manifest, which forces the next segment checkpoint to flush every
-    /// table.
+    /// recovery). `None` until the store first checkpoints, which makes
+    /// that checkpoint flush every table.
     manifest: Mutex<Option<Manifest>>,
     /// Next segment id to allocate. Monotonic, never reused, so a fresh
     /// segment can never collide with a crash-orphaned file.
@@ -615,94 +584,68 @@ impl std::fmt::Debug for DurableStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableStore")
             .field("dir", &self.dir)
-            .field("format", &self.format)
             .field("wal", &self.wal)
             .finish()
     }
 }
 
 impl DurableStore {
-    /// Recover the database persisted under `dir` (created if absent) in
-    /// the default checkpoint format. See [`DurableStore::open_with_format`].
-    pub fn open(
-        dir: impl Into<PathBuf>,
-        policy: FsyncPolicy,
-    ) -> DbResult<(Database, DurableStore)> {
-        Self::open_with_format(dir, policy, SnapshotFormat::default())
-    }
-
     /// Recover the database persisted under `dir` (created if absent):
-    /// load the newest checkpoint artifact — columnar segments via
-    /// `manifest.json`, or `snapshot.json` — then replay every committed
-    /// `wal.log` record with a newer LSN, truncate any torn tail, and open
-    /// the log for appending. `format` selects what *future* checkpoints
-    /// write; recovery always accepts both formats, so a store can be
-    /// flipped between them across restarts.
+    /// load the segments `manifest.json` names, then replay every
+    /// committed `wal.log` record with a newer LSN, truncate any torn
+    /// tail, and open the log for appending.
     ///
-    /// Both artifacts can coexist only in the crash window between one
-    /// format's commit rename and the cleanup of the other's artifact — in
-    /// that window both are valid images of the same history, and the
-    /// higher LSN cut is picked because it needs less replay (on a tie the
-    /// states are identical and segments win).
+    /// A `snapshot.json` left by an older build is refused with
+    /// [`DbError::Corrupt`] before anything in `dir` is touched: this
+    /// build cannot read it, and that build truncated the log when it
+    /// wrote it, so recovering without it would silently drop acked
+    /// writes.
     ///
     /// The returned [`Database`] is *not* yet journaled — the caller
     /// attaches a sink (plain [`DurableStore::wal`] or a metering wrapper)
     /// via [`Database::set_wal_sink`] once it has wrapped it as needed.
-    pub fn open_with_format(
+    pub fn open(
         dir: impl Into<PathBuf>,
         policy: FsyncPolicy,
-        format: SnapshotFormat,
     ) -> DbResult<(Database, DurableStore)> {
         odbis_chaos::check("store.open").map_err(chaos_err)?;
         let dir = dir.into();
+        let legacy = dir.join(LEGACY_SNAPSHOT_FILE);
+        if legacy.exists() {
+            return Err(DbError::Corrupt(format!(
+                "{} is a JSON checkpoint this build cannot read; open the \
+                 directory once with an older build that still reads it and \
+                 run a checkpoint there, which rewrites it as segments",
+                legacy.display()
+            )));
+        }
         std::fs::create_dir_all(&dir)?;
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
         let manifest_path = dir.join(MANIFEST_FILE);
         let wal_path = dir.join("wal.log");
-        let loaded_manifest = if manifest_path.exists() {
+        let live_manifest = if manifest_path.exists() {
             Some(manifest::load_manifest(&manifest_path)?)
         } else {
             None
         };
-        let json_state = if snapshot_path.exists() {
-            Some(persist::load_snapshot_with_lsn(&snapshot_path)?)
-        } else {
-            None
-        };
-        let use_segments = match (&loaded_manifest, &json_state) {
-            (Some(m), Some((_, json_lsn))) => m.last_lsn >= *json_lsn,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        // Even when recovering from JSON, a stale manifest still pins the
-        // segment-id floor so fresh segments never reuse an orphan's name.
-        let next_seg_id = loaded_manifest.as_ref().map_or(1, |m| m.next_seg_id);
-        let (db, snap_lsn, live_manifest) = if use_segments {
-            let m = loaded_manifest.expect("use_segments implies a manifest");
-            let db = Database::new();
-            for entry in &m.tables {
-                let (table, _seg_lsn) = segment::read_segment(&dir.join(&entry.file))?;
-                if !table.name.eq_ignore_ascii_case(&entry.table) {
-                    return Err(DbError::Corrupt(format!(
-                        "segment {} holds table '{}' but the manifest says '{}'",
-                        entry.file, table.name, entry.table
-                    )));
-                }
-                db.adopt_table(table)?;
+        let db = Database::new();
+        for entry in live_manifest.iter().flat_map(|m| &m.tables) {
+            let (table, _seg_lsn) = segment::read_segment(&dir.join(&entry.file))?;
+            if !table.name.eq_ignore_ascii_case(&entry.table) {
+                return Err(DbError::Corrupt(format!(
+                    "segment {} holds table '{}' but the manifest says '{}'",
+                    entry.file, table.name, entry.table
+                )));
             }
-            let lsn = m.last_lsn;
-            (db, lsn, Some(m))
-        } else if let Some((db, lsn)) = json_state {
-            (db, lsn, None)
-        } else {
-            (Database::new(), 0, None)
-        };
+            db.adopt_table(table)?;
+        }
+        let ckpt_lsn = live_manifest.as_ref().map_or(0, |m| m.last_lsn);
+        let next_seg_id = live_manifest.as_ref().map_or(1, |m| m.next_seg_id);
         let (entries, valid_len) = read_wal(&wal_path)?;
-        let mut max_lsn = snap_lsn;
+        let mut max_lsn = ckpt_lsn;
         for entry in &entries {
             max_lsn = max_lsn.max(entry.lsn);
-            if entry.lsn <= snap_lsn {
-                continue; // already folded into the snapshot
+            if entry.lsn <= ckpt_lsn {
+                continue; // already folded into the segments
             }
             replay_record(&db, &entry.record).map_err(|e| {
                 DbError::Corrupt(format!(
@@ -730,7 +673,6 @@ impl DurableStore {
             DurableStore {
                 dir,
                 wal: Arc::new(wal),
-                format,
                 manifest: Mutex::new(live_manifest),
                 seg_counter: AtomicU64::new(next_seg_id),
             },
@@ -747,32 +689,26 @@ impl DurableStore {
         &self.wal
     }
 
-    /// The checkpoint format this store writes.
-    pub fn format(&self) -> SnapshotFormat {
-        self.format
-    }
-
     /// The live segment manifest after the last checkpoint or recovery.
-    /// `None` when the current checkpoint artifact is `snapshot.json` (or
-    /// the store has never checkpointed).
+    /// `None` when the store has never checkpointed.
     pub fn live_manifest(&self) -> Option<Manifest> {
         self.manifest.lock().clone()
     }
 
-    /// Fold the log into the checkpoint artifact and truncate it.
+    /// Fold the log into segments and truncate it.
     ///
     /// Runs with the catalog read lock plus every table's read lock held
     /// (canonical acquisition order): appends happen under a table's write
     /// lock, so once the read locks are held no append is in flight and
-    /// the artifact, the LSN stamp, and the truncation see one consistent
-    /// cut of the history. Crash-safe at every step — both formats commit
-    /// through one fsynced atomic rename (`persist`'s
-    /// write-tmp/fsync/rename/fsync-dir discipline), and a crash before
-    /// the truncation just leaves already-folded frames that replay as
-    /// no-ops (their LSNs are `<=` the artifact's `last_lsn`).
+    /// the segments, the LSN stamp, and the truncation see one consistent
+    /// cut of the history. Crash-safe at every step — the checkpoint
+    /// commits through one fsynced atomic rename of the manifest
+    /// (`persist`'s write-tmp/fsync/rename/fsync-dir discipline), and a
+    /// crash before the truncation just leaves already-folded frames that
+    /// replay as no-ops (their LSNs are `<=` the manifest's `last_lsn`).
     ///
-    /// Under [`SnapshotFormat::Segments`] the checkpoint is *incremental*:
-    /// only tables dirty since the last flush are re-encoded; clean
+    /// The checkpoint is *incremental*: only tables dirty since the last
+    /// flush are re-encoded; clean
     /// tables' immutable segments are carried over by reference. A
     /// carried-over segment stamped at an older LSN is still a valid image
     /// at the new cut precisely because its table has no mutation in
@@ -783,38 +719,6 @@ impl DurableStore {
     pub fn checkpoint(&self, db: &Database) -> DbResult<CheckpointReport> {
         odbis_chaos::check("checkpoint.begin").map_err(chaos_err)?;
         let start = Instant::now();
-        match self.format {
-            SnapshotFormat::Json => self.checkpoint_json(db, start),
-            SnapshotFormat::Segments => self.checkpoint_segments(db, start),
-        }
-    }
-
-    fn checkpoint_json(&self, db: &Database, start: Instant) -> DbResult<CheckpointReport> {
-        let snapshot_path = self.dir.join(SNAPSHOT_FILE);
-        db.with_tables_marked(|views| {
-            let tables: Vec<&Table> = views.iter().map(|v| v.table).collect();
-            persist::write_tables(&tables, &snapshot_path, self.wal.last_lsn())?;
-            for v in views {
-                v.dirty.store(false, Ordering::Relaxed);
-            }
-            let folded = self.wal.reset()?;
-            // The JSON snapshot is now the sole checkpoint artifact: drop
-            // segment-format leftovers. Best-effort — an unreferenced
-            // segment or stale manifest is harmless because recovery
-            // prefers the newer artifact.
-            *self.manifest.lock() = None;
-            let _ = std::fs::remove_file(self.dir.join(MANIFEST_FILE));
-            self.remove_unreferenced_segments(&[]);
-            Ok(CheckpointReport {
-                tables: views.len(),
-                tables_flushed: views.len(),
-                wal_bytes_folded: folded,
-                micros: start.elapsed().as_micros() as u64,
-            })
-        })
-    }
-
-    fn checkpoint_segments(&self, db: &Database, start: Instant) -> DbResult<CheckpointReport> {
         let manifest_path = self.dir.join(MANIFEST_FILE);
         db.with_tables_marked(|views| {
             // The cut: read only after every table read lock is held.
@@ -855,7 +759,6 @@ impl DurableStore {
             let keep: Vec<String> = next.tables.iter().map(|e| e.file.clone()).collect();
             *live = Some(next);
             drop(live);
-            let _ = std::fs::remove_file(self.dir.join(SNAPSHOT_FILE));
             self.remove_unreferenced_segments(&keep);
             let folded = self.wal.reset()?;
             Ok(CheckpointReport {
@@ -867,10 +770,9 @@ impl DurableStore {
         })
     }
 
-    /// Export the current checkpoint artifact as a byte-level image for
-    /// shipping to another node: the raw `manifest.json` plus every
-    /// referenced `seg-*.seg` file (or `snapshot.json` under the JSON
-    /// format), stamped with the artifact's fold LSN. Together with the
+    /// Export the current checkpoint as a byte-level image for shipping
+    /// to another node: the raw `manifest.json` plus every referenced
+    /// `seg-*.seg` file, stamped with the manifest's fold LSN. Together with the
     /// WAL tail above that stamp ([`DurableStore::export_wal_tail`]) the
     /// image reproduces the store exactly.
     ///
@@ -881,53 +783,40 @@ impl DurableStore {
     pub fn export_checkpoint(&self) -> DbResult<CheckpointImage> {
         odbis_chaos::check("migrate.export.image").map_err(chaos_err)?;
         let live = self.manifest.lock();
-        if let Some(m) = live.as_ref() {
-            let mut files = Vec::with_capacity(m.tables.len() + 1);
+        let Some(m) = live.as_ref() else {
+            // never checkpointed: the WAL alone is the whole history
+            return Ok(CheckpointImage {
+                last_lsn: 0,
+                files: Vec::new(),
+            });
+        };
+        let mut files = Vec::with_capacity(m.tables.len() + 1);
+        files.push((
+            MANIFEST_FILE.to_string(),
+            std::fs::read(self.dir.join(MANIFEST_FILE))?,
+        ));
+        for entry in &m.tables {
             files.push((
-                MANIFEST_FILE.to_string(),
-                std::fs::read(self.dir.join(MANIFEST_FILE))?,
+                entry.file.clone(),
+                std::fs::read(self.dir.join(&entry.file))?,
             ));
-            for entry in &m.tables {
-                files.push((entry.file.clone(), std::fs::read(self.dir.join(&entry.file))?));
-            }
-            return Ok(CheckpointImage {
-                last_lsn: m.last_lsn,
-                files,
-            });
         }
-        drop(live);
-        let snapshot_path = self.dir.join(SNAPSHOT_FILE);
-        if snapshot_path.exists() {
-            let (_, lsn) = persist::load_snapshot_with_lsn(&snapshot_path)?;
-            return Ok(CheckpointImage {
-                last_lsn: lsn,
-                files: vec![(SNAPSHOT_FILE.to_string(), std::fs::read(&snapshot_path)?)],
-            });
-        }
-        // never checkpointed: the WAL alone is the whole history
         Ok(CheckpointImage {
-            last_lsn: 0,
-            files: Vec::new(),
+            last_lsn: m.last_lsn,
+            files,
         })
     }
 
-    /// The fold LSN of the current checkpoint artifact — the stamp
+    /// The fold LSN of the current checkpoint — the stamp
     /// [`DurableStore::export_checkpoint`] would put on an image exported
     /// right now (0 when the store has never checkpointed). Migration
     /// re-reads this under the drained write fence to detect a checkpoint
     /// that raced the ship phase: such a checkpoint truncated the WAL at
     /// a newer cut, so the frames between the shipped image's stamp and
-    /// the new cut survive only in the newer artifact and the image must
-    /// be re-exported before the final tail.
-    pub fn checkpoint_lsn(&self) -> DbResult<u64> {
-        if let Some(m) = self.manifest.lock().as_ref() {
-            return Ok(m.last_lsn);
-        }
-        let snapshot_path = self.dir.join(SNAPSHOT_FILE);
-        if snapshot_path.exists() {
-            return Ok(persist::load_snapshot_with_lsn(&snapshot_path)?.1);
-        }
-        Ok(0)
+    /// the new cut survive only in the newer checkpoint and the image
+    /// must be re-exported before the final tail.
+    pub fn checkpoint_lsn(&self) -> u64 {
+        self.manifest.lock().as_ref().map_or(0, |m| m.last_lsn)
     }
 
     /// Export every committed WAL frame with LSN strictly greater than
@@ -975,34 +864,40 @@ impl DurableStore {
     /// Stage an exported checkpoint image plus WAL tail into `dir` — the
     /// target node's (not yet opened) store directory. Any artifact from
     /// a previous attempt is removed first so a retried migration can
-    /// never mix two generations; after staging,
-    /// [`DurableStore::open_with_format`] on `dir` recovers exactly the
-    /// shipped state (frame CRCs re-verified by [`read_wal`], segment
-    /// block CRCs by the segment reader).
+    /// never mix two generations; after staging, [`DurableStore::open`] on
+    /// `dir` recovers exactly the shipped state (frame CRCs re-verified by
+    /// [`read_wal`], segment block CRCs by the segment reader).
+    ///
+    /// Every image file name must be `manifest.json` or a bare
+    /// `seg-*.seg`; anything else (a path that would escape `dir`, a
+    /// legacy `snapshot.json`) is rejected with [`DbError::Corrupt`]
+    /// before `dir` is touched.
     pub fn import_image(dir: impl AsRef<Path>, image: &CheckpointImage, tail: &[u8]) -> DbResult<()> {
         odbis_chaos::check("migrate.import.stage").map_err(chaos_err)?;
+        let is_checkpoint_file = |n: &str| n == MANIFEST_FILE || is_segment_file(n);
+        if let Some((bad, _)) = image.files.iter().find(|(n, _)| !is_checkpoint_file(n)) {
+            return Err(DbError::Corrupt(format!(
+                "checkpoint image names '{bad}', which is not a manifest or segment file"
+            )));
+        }
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         for leftover in std::fs::read_dir(dir)?.flatten() {
             let name = leftover.file_name();
             let Some(name) = name.to_str() else { continue };
-            if name == SNAPSHOT_FILE
-                || name == MANIFEST_FILE
-                || name == "wal.log"
-                || (name.starts_with("seg-") && name.ends_with(".seg"))
-            {
+            if is_checkpoint_file(name) || name == "wal.log" {
                 std::fs::remove_file(leftover.path())?;
             }
         }
         // Dependency order, made durable as we go: segments and the WAL
         // tail are written and fsynced (files, then the directory) before
-        // the artifact head (manifest or snapshot) is written, then the
-        // head itself is fsynced the same way. The head is what recovery
+        // the manifest is written, then the manifest itself is fsynced the
+        // same way. The manifest is what recovery
         // trusts, so it must never become durable before the bytes it
-        // references — a crash mid-stage leaves either no head (recovery
-        // sees an empty store and the migration retries) or a head whose
-        // segments and tail are all fully on disk.
-        let is_head = |n: &str| n == MANIFEST_FILE || n == SNAPSHOT_FILE;
+        // references — a crash mid-stage leaves either no manifest
+        // (recovery sees an empty store and the migration retries) or a
+        // manifest whose segments and tail are all fully on disk.
+        let is_head = |n: &str| n == MANIFEST_FILE;
         for (name, bytes) in image.files.iter().filter(|(n, _)| !is_head(n)) {
             write_synced(&dir.join(name), bytes)?;
         }
@@ -1025,8 +920,7 @@ impl DurableStore {
         for entry in rd.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if name.starts_with("seg-") && name.ends_with(".seg") && !keep.iter().any(|k| k == name)
-            {
+            if is_segment_file(name) && !keep.iter().any(|k| k == name) {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
@@ -1100,76 +994,104 @@ mod tests {
     /// with LSN continuity for further writes.
     #[test]
     fn export_import_round_trip_reproduces_the_store() {
-        for format in [SnapshotFormat::Segments, SnapshotFormat::Json] {
-            let src_dir = tmp_dir(&format!("mig-src-{}", format.as_str()));
-            let dst_dir = tmp_dir(&format!("mig-dst-{}", format.as_str()));
-            let (db, store) =
-                DurableStore::open_with_format(&src_dir, FsyncPolicy::Never, format).unwrap();
-            db.create_table("people", people_schema()).unwrap();
+        let src_dir = tmp_dir("mig-src");
+        let dst_dir = tmp_dir("mig-dst");
+        let (db, store) = DurableStore::open(&src_dir, FsyncPolicy::Never).unwrap();
+        db.create_table("people", people_schema()).unwrap();
+        store
+            .wal()
+            .append_record(&WalRecord::CreateTable {
+                name: "people".into(),
+                schema: people_schema(),
+            })
+            .unwrap();
+        for i in 0..5i64 {
+            let row = vec![Value::Int(i), Value::from(format!("pre-{i}"))];
+            db.insert("people", row.clone()).unwrap();
             store
                 .wal()
-                .append_record(&WalRecord::CreateTable {
-                    name: "people".into(),
-                    schema: people_schema(),
-                })
-                .unwrap();
-            for i in 0..5i64 {
-                let row = vec![Value::Int(i), Value::from(format!("pre-{i}"))];
-                db.insert("people", row.clone()).unwrap();
-                store
-                    .wal()
-                    .append_record(&WalRecord::Insert {
-                        table: "people".into(),
-                        row,
-                    })
-                    .unwrap();
-            }
-            store.checkpoint(&db).unwrap();
-            // post-checkpoint writes land only in the WAL tail
-            for i in 5..8i64 {
-                let row = vec![Value::Int(i), Value::from(format!("post-{i}"))];
-                db.insert("people", row.clone()).unwrap();
-                store
-                    .wal()
-                    .append_record(&WalRecord::Insert {
-                        table: "people".into(),
-                        row,
-                    })
-                    .unwrap();
-            }
-            let image = store.export_checkpoint().unwrap();
-            assert!(image.last_lsn > 0, "{format:?}: checkpoint stamped");
-            let tail = store.export_wal_tail(image.last_lsn).unwrap();
-            assert_eq!(tail.frames, 3, "{format:?}: three post-checkpoint frames");
-            assert_eq!(tail.last_lsn, store.wal().last_lsn());
-            assert!(tail.first_lsn > image.last_lsn);
-
-            DurableStore::import_image(&dst_dir, &image, &tail.bytes).unwrap();
-            let (db2, store2) =
-                DurableStore::open_with_format(&dst_dir, FsyncPolicy::Never, format).unwrap();
-            assert_eq!(db2.row_count("people").unwrap(), 8);
-            // LSN continuity: the target continues above everything shipped
-            let next = store2
-                .wal()
-                .append_record(&WalRecord::Delete {
+                .append_record(&WalRecord::Insert {
                     table: "people".into(),
-                    id: 0,
+                    row,
                 })
                 .unwrap();
-            assert!(next > tail.last_lsn, "{format:?}: {next} > {}", tail.last_lsn);
-
-            // an empty tail (migration right after checkpoint) also works
-            let dst2 = tmp_dir(&format!("mig-dst2-{}", format.as_str()));
-            let empty = store.export_wal_tail(store.wal().last_lsn()).unwrap();
-            assert_eq!((empty.frames, empty.bytes.len()), (0, 0));
-            DurableStore::import_image(&dst2, &image, &empty.bytes).unwrap();
-            let (db3, _store3) =
-                DurableStore::open_with_format(&dst2, FsyncPolicy::Never, format).unwrap();
-            assert_eq!(db3.row_count("people").unwrap(), 5);
-            for d in [&src_dir, &dst_dir, &dst2] {
-                let _ = std::fs::remove_dir_all(d);
-            }
         }
+        store.checkpoint(&db).unwrap();
+        // post-checkpoint writes land only in the WAL tail
+        for i in 5..8i64 {
+            let row = vec![Value::Int(i), Value::from(format!("post-{i}"))];
+            db.insert("people", row.clone()).unwrap();
+            store
+                .wal()
+                .append_record(&WalRecord::Insert {
+                    table: "people".into(),
+                    row,
+                })
+                .unwrap();
+        }
+        let image = store.export_checkpoint().unwrap();
+        assert!(image.last_lsn > 0, "checkpoint stamped");
+        let tail = store.export_wal_tail(image.last_lsn).unwrap();
+        assert_eq!(tail.frames, 3, "three post-checkpoint frames");
+        assert_eq!(tail.last_lsn, store.wal().last_lsn());
+        assert!(tail.first_lsn > image.last_lsn);
+
+        DurableStore::import_image(&dst_dir, &image, &tail.bytes).unwrap();
+        let (db2, store2) = DurableStore::open(&dst_dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(db2.row_count("people").unwrap(), 8);
+        // LSN continuity: the target continues above everything shipped
+        let next = store2
+            .wal()
+            .append_record(&WalRecord::Delete {
+                table: "people".into(),
+                id: 0,
+            })
+            .unwrap();
+        assert!(next > tail.last_lsn, "{next} > {}", tail.last_lsn);
+
+        // an empty tail (migration right after checkpoint) also works
+        let dst2 = tmp_dir("mig-dst2");
+        let empty = store.export_wal_tail(store.wal().last_lsn()).unwrap();
+        assert_eq!((empty.frames, empty.bytes.len()), (0, 0));
+        DurableStore::import_image(&dst2, &image, &empty.bytes).unwrap();
+        let (db3, _store3) = DurableStore::open(&dst2, FsyncPolicy::Never).unwrap();
+        assert_eq!(db3.row_count("people").unwrap(), 5);
+        for d in [&src_dir, &dst_dir, &dst2] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+
+    /// An image is caller-built, so its file names are untrusted: a name
+    /// that would land outside the store, or a legacy JSON snapshot, is
+    /// refused before the target directory is touched.
+    #[test]
+    fn import_image_rejects_names_outside_the_checkpoint_set() {
+        let root = tmp_dir("mig-names");
+        let dst = root.join("store");
+        std::fs::create_dir_all(&dst).unwrap();
+        std::fs::write(dst.join("wal.log"), b"previous attempt").unwrap();
+        for name in [
+            "../escaped.seg",
+            "seg-../../escaped.seg",
+            "/tmp/escaped",
+            "snapshot.json",
+        ] {
+            let image = CheckpointImage {
+                last_lsn: 1,
+                files: vec![(name.to_string(), b"x".to_vec())],
+            };
+            let err = DurableStore::import_image(&dst, &image, b"").unwrap_err();
+            assert!(matches!(err, DbError::Corrupt(_)), "{name}: {err}");
+            assert!(err.to_string().contains(name), "{name}: {err}");
+        }
+        assert!(!root.join("escaped.seg").exists());
+        assert!(!dst.join("snapshot.json").exists());
+        // staging never started: the previous attempt's bytes are intact
+        assert_eq!(
+            std::fs::read(dst.join("wal.log")).unwrap(),
+            b"previous attempt"
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A store that has never checkpointed exports an empty image at LSN 0;
@@ -1292,9 +1214,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_skips_records_already_in_snapshot() {
-        // Simulate a crash between snapshot write and wal truncation: the
-        // snapshot holds everything, and the stale log must replay as no-ops.
+    fn replay_skips_records_already_in_segments() {
+        // Simulate a crash between the manifest swap and wal truncation: the
+        // segments hold everything, and the stale log must replay as no-ops.
         let dir = tmp_dir("skip");
         let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
         db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
@@ -1315,7 +1237,6 @@ mod tests {
     fn segments_checkpoint_is_incremental() {
         let dir = tmp_dir("incremental");
         let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-        assert_eq!(store.format(), SnapshotFormat::Segments);
         db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
         for t in ["a", "b", "c"] {
             db.create_table(t, people_schema()).unwrap();
@@ -1342,102 +1263,38 @@ mod tests {
         assert_eq!(back.row_count("a").unwrap(), 1);
         assert_eq!(back.row_count("b").unwrap(), 2);
         assert_eq!(store2.live_manifest().unwrap(), m);
-        assert!(!dir.join("snapshot.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A directory with a JSON snapshot from an older build, alone or
+    /// beside a manifest, is refused without touching a byte: `wal.log`
+    /// keeps even the torn tail the repair step would otherwise truncate.
     #[test]
-    fn json_format_still_checkpoints_and_recovers() {
-        let dir = tmp_dir("jsonfmt");
-        let (db, store) =
-            DurableStore::open_with_format(&dir, FsyncPolicy::Never, SnapshotFormat::Json).unwrap();
-        db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-        db.create_table("people", people_schema()).unwrap();
-        db.insert("people", vec![1.into(), "ana".into()]).unwrap();
-        let report = store.checkpoint(&db).unwrap();
-        assert_eq!(report.tables_flushed, 1);
-        assert!(dir.join("snapshot.json").exists());
-        assert!(!dir.join("manifest.json").exists());
-        assert!(store.live_manifest().is_none());
-        drop(db);
-        let (back, _) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-        assert_eq!(back.row_count("people").unwrap(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    fn legacy_snapshot_is_refused_and_the_dir_left_untouched() {
+        for with_manifest in [false, true] {
+            let dir = tmp_dir(&format!("legacy-{with_manifest}"));
+            {
+                let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
+                db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
+                db.create_table("people", people_schema()).unwrap();
+                db.insert("people", vec![1.into(), "ana".into()]).unwrap();
+                if with_manifest {
+                    store.checkpoint(&db).unwrap();
+                    db.insert("people", vec![2.into(), "bo".into()]).unwrap();
+                }
+            }
+            let mut wal = std::fs::read(dir.join("wal.log")).unwrap();
+            wal.extend_from_slice(&[0x55; 5]); // torn tail
+            std::fs::write(dir.join("wal.log"), &wal).unwrap();
+            std::fs::write(dir.join("snapshot.json"), br#"{"version":1}"#).unwrap();
 
-    #[test]
-    fn format_flip_cleans_up_the_other_artifact() {
-        let dir = tmp_dir("flip");
-        // checkpoint as segments first
-        {
-            let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-            db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-            db.create_table("people", people_schema()).unwrap();
-            db.insert("people", vec![1.into(), "ana".into()]).unwrap();
-            store.checkpoint(&db).unwrap();
-            assert!(dir.join("manifest.json").exists());
+            let err = DurableStore::open(&dir, FsyncPolicy::Never).unwrap_err();
+            assert!(matches!(err, DbError::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains("snapshot.json"), "{err}");
+            assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), wal);
+            assert_eq!(dir.join("manifest.json").exists(), with_manifest);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        // reopen pinned to json: recovery reads the segments, the next
-        // checkpoint replaces them with a snapshot and GCs the seg files
-        {
-            let (db, store) =
-                DurableStore::open_with_format(&dir, FsyncPolicy::Never, SnapshotFormat::Json)
-                    .unwrap();
-            db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-            assert_eq!(db.row_count("people").unwrap(), 1);
-            db.insert("people", vec![2.into(), "bo".into()]).unwrap();
-            store.checkpoint(&db).unwrap();
-            assert!(dir.join("snapshot.json").exists());
-            assert!(!dir.join("manifest.json").exists());
-            let segs: Vec<_> = std::fs::read_dir(&dir)
-                .unwrap()
-                .flatten()
-                .filter(|e| e.file_name().to_string_lossy().ends_with(".seg"))
-                .collect();
-            assert!(segs.is_empty(), "json checkpoint must GC segment files");
-        }
-        // and back to segments
-        let (db, _) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-        assert_eq!(db.row_count("people").unwrap(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn coexisting_artifacts_resolve_to_the_higher_lsn() {
-        // Simulate the crash window where a segments checkpoint committed
-        // its manifest but died before deleting the older snapshot.json.
-        let dir = tmp_dir("coexist");
-        {
-            let (db, store) =
-                DurableStore::open_with_format(&dir, FsyncPolicy::Never, SnapshotFormat::Json)
-                    .unwrap();
-            db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-            db.create_table("people", people_schema()).unwrap();
-            db.insert("people", vec![1.into(), "ana".into()]).unwrap();
-            store.checkpoint(&db).unwrap();
-        }
-        let stale_snapshot = std::fs::read(dir.join("snapshot.json")).unwrap();
-        {
-            let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-            db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-            db.insert("people", vec![2.into(), "bo".into()]).unwrap();
-            store.checkpoint(&db).unwrap();
-        }
-        // resurrect the stale lower-LSN snapshot next to the manifest
-        std::fs::write(dir.join("snapshot.json"), &stale_snapshot).unwrap();
-        let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-        assert_eq!(db.row_count("people").unwrap(), 2, "manifest must win");
-        assert!(store.live_manifest().is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn snapshot_format_parses() {
-        assert_eq!(SnapshotFormat::parse("json"), SnapshotFormat::Json);
-        assert_eq!(SnapshotFormat::parse("JSON"), SnapshotFormat::Json);
-        assert_eq!(SnapshotFormat::parse("segments"), SnapshotFormat::Segments);
-        assert_eq!(SnapshotFormat::parse("bogus"), SnapshotFormat::Segments);
-        assert_eq!(SnapshotFormat::default().as_str(), "segments");
     }
 
     #[test]

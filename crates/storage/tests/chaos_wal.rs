@@ -1,4 +1,4 @@
-//! Seeded chaos suite for the WAL + snapshot durability layer.
+//! Seeded chaos suite for the WAL + segment durability layer.
 //!
 //! Each case runs a randomized multi-round workload against a
 //! [`DurableStore`] with one fault policy armed, "crashing" (dropping the
@@ -13,18 +13,21 @@
 //!  2. no acknowledged write is ever lost,
 //!  3. nothing that was never attempted appears,
 //!  4. WAL LSNs stay strictly monotonic across faults and recoveries,
-//!  5. the live snapshot is never torn (recovery parses it every round).
+//!  5. the live manifest and its segments are never torn (recovery
+//!     parses them every round).
+//!
+//! Every armed site must also fire at least once over a case, so a spec
+//! naming an unreachable site fails instead of silently injecting nothing.
 //!
 //! Every case prints its seed; rerun a failure with
 //! `ODBIS_CHAOS_SEED=<seed> cargo test --test chaos_wal`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use odbis_storage::{
-    read_wal, Column, DataType, Database, DurableStore, FsyncPolicy, Schema, SnapshotFormat, Value,
-    WalSink,
+    read_wal, Column, DataType, Database, DurableStore, FsyncPolicy, Schema, Value, WalSink,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -92,24 +95,16 @@ enum PendingOp {
     Delete(i64),
 }
 
-/// Run `rounds` crash/recover rounds under `policy_spec` in the default
-/// checkpoint format (columnar segments), checking the five invariants at
-/// every recovery.
+/// Run `rounds` crash/recover rounds under `policy_spec`, checking the
+/// five invariants at every recovery and that every site in the spec
+/// injected at least one fault.
 fn run_case(case: &str, policy_spec: &str, rounds: usize) {
-    run_case_fmt(case, policy_spec, rounds, SnapshotFormat::default());
-}
-
-/// [`run_case`] pinned to a checkpoint format — the fault matrix runs both
-/// the segment path (default) and, for the core policies, the JSON path,
-/// so flipping `durability.format` can never silently lose an invariant.
-fn run_case_fmt(case: &str, policy_spec: &str, rounds: usize, format: SnapshotFormat) {
     let _x = odbis_chaos::exclusive();
     odbis_chaos::clear();
     let seed = seed();
     eprintln!(
-        "chaos_wal case={case} policy='{policy_spec}' format={} seed={seed} \
-         (rerun: ODBIS_CHAOS_SEED={seed} cargo test --test chaos_wal {case})",
-        format.as_str()
+        "chaos_wal case={case} policy='{policy_spec}' seed={seed} \
+         (rerun: ODBIS_CHAOS_SEED={seed} cargo test --test chaos_wal {case})"
     );
     let dir = tmp_dir(case);
     let _ = std::fs::remove_dir_all(&dir);
@@ -118,14 +113,14 @@ fn run_case_fmt(case: &str, policy_spec: &str, rounds: usize, format: SnapshotFo
     let mut pending: Option<PendingOp> = None;
     let mut next_pk: i64 = 0;
     let mut injected_failures = 0usize;
+    let mut fired: BTreeMap<String, u64> = BTreeMap::new();
 
     for round in 0..=rounds {
         // recovery itself always runs clean: the fault was the crash
         odbis_chaos::clear();
-        let (db, store) = DurableStore::open_with_format(&dir, FsyncPolicy::Never, format)
-            .unwrap_or_else(|e| {
-                panic!("{case} round {round}: recovery must never fail: {e} (seed {seed})")
-            });
+        let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap_or_else(|e| {
+            panic!("{case} round {round}: recovery must never fail: {e} (seed {seed})")
+        });
         let got = present_pks(&db);
         // resolve last round's ambiguous op by observing what recovered
         match pending.take() {
@@ -195,10 +190,14 @@ fn run_case_fmt(case: &str, policy_spec: &str, rounds: usize, format: SnapshotFo
                 }
             } else {
                 // a failed checkpoint never changes logical state: the
-                // snapshot is written aside + renamed, the log truncated
+                // manifest is written aside + renamed, the log truncated
                 // only after a successful rename
                 let _ = store.checkpoint(&db);
             }
+        }
+        // `clear()` forgets trigger counts: bank them first
+        for (site, _, _, n) in odbis_chaos::snapshot() {
+            *fired.entry(site).or_default() += n;
         }
         odbis_chaos::clear();
         drop(store); // simulated crash: no clean shutdown, no final fold
@@ -207,6 +206,16 @@ fn run_case_fmt(case: &str, policy_spec: &str, rounds: usize, format: SnapshotFo
     assert!(
         !shadow.is_empty(),
         "{case}: workload acknowledged nothing (seed {seed})"
+    );
+    let silent: Vec<&String> = fired
+        .iter()
+        .filter(|(_, n)| **n == 0)
+        .map(|(s, _)| s)
+        .collect();
+    assert!(
+        silent.is_empty(),
+        "{case}: failpoints {silent:?} never fired, so the case injected \
+         nothing there (seed {seed})"
     );
     eprintln!(
         "chaos_wal case={case}: {} rows acknowledged, {injected_failures} injected failures survived",
@@ -231,16 +240,6 @@ fn survives_short_writes() {
 #[test]
 fn survives_probabilistic_write_errors() {
     run_case("proberr", "wal.write=err-with-prob(0.25,{r})", 5);
-}
-
-#[test]
-fn survives_snapshot_rename_failures() {
-    run_case("snaprename", "snapshot.rename=err-every-nth(2)", 5);
-}
-
-#[test]
-fn survives_torn_snapshot_writes() {
-    run_case("snaptorn", "snapshot.write.short=err-every-nth(2)", 5);
 }
 
 #[test]
@@ -274,40 +273,15 @@ fn survives_manifest_write_failures() {
 }
 
 #[test]
+fn survives_torn_manifest_writes() {
+    run_case("manitorn", "manifest.write.short=err-every-nth(2)", 5);
+}
+
+#[test]
 fn survives_checkpoint_fsync_failures() {
     // the shared fsync site fires for tmp-file and directory syncs of
-    // snapshots, segments, and manifests alike
+    // segments and manifests alike
     run_case("snapfsync", "snapshot.fsync=err-every-nth(3)", 5);
-}
-
-#[test]
-fn json_format_survives_snapshot_rename_failures() {
-    run_case_fmt(
-        "json-snaprename",
-        "snapshot.rename=err-every-nth(2)",
-        5,
-        SnapshotFormat::Json,
-    );
-}
-
-#[test]
-fn json_format_survives_short_writes() {
-    run_case_fmt(
-        "json-shortwrite",
-        "wal.write.short=err-every-nth(4)",
-        5,
-        SnapshotFormat::Json,
-    );
-}
-
-#[test]
-fn json_format_survives_fsync_failures() {
-    run_case_fmt(
-        "json-fsync",
-        "snapshot.fsync=err-every-nth(3)",
-        5,
-        SnapshotFormat::Json,
-    );
 }
 
 #[test]
@@ -318,10 +292,12 @@ fn survives_io_delays() {
 
 #[test]
 fn survives_compound_faults() {
+    // WAL faults end a round, checkpoint faults do not: keep the WAL ones
+    // rare so rounds run long enough for every checkpoint site to fire
     run_case(
         "compound",
-        "wal.fsync=err-every-nth(5);snapshot.rename=err-every-nth(3);wal.write.short=err-every-nth(7);segment.write=err-every-nth(4);manifest.rename=err-every-nth(5)",
-        6,
+        "wal.fsync=err-every-nth(25);wal.write.short=err-with-prob(0.04,{r});segment.write=err-every-nth(4);manifest.write.short=err-every-nth(3);manifest.rename=err-every-nth(2)",
+        10,
     );
 }
 

@@ -5,8 +5,8 @@
 //!
 //! 1. **No committed write is lost** — every SQL write the platform
 //!    acknowledged with `Ok` is present after recovery.
-//! 2. **Snapshots are never torn** — recovery always succeeds, under
-//!    snapshot-write, snapshot-rename and WAL-reset faults included.
+//! 2. **Checkpoints are never torn** — recovery always succeeds, under
+//!    manifest-rename, checkpoint-entry and WAL-reset faults included.
 //! 3. **Per-tenant isolation** — one tenant's faults never corrupt or leak
 //!    into another tenant's data.
 //! 4. **Usage metering is monotonic** — metered units never decrease,
@@ -15,13 +15,16 @@
 //!    `{"error":{kind,message}}` envelopes; transient storage failures map
 //!    to 503 with `Retry-After`.
 //!
+//! Every armed site must fire at least once over a case, so a spec naming
+//! an unreachable site fails instead of silently injecting nothing.
+//!
 //! Each test prints its seed; rerun a failure with
 //! `ODBIS_CHAOS_SEED=<seed> cargo test --test chaos`. The WAL-internal
 //! fault matrix (torn tails, recovery-under-fault, the repair teeth test)
 //! lives in `crates/storage/tests/chaos_wal.rs`; this suite exercises the
 //! same sites through the full platform and HTTP stack.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -114,13 +117,14 @@ fn run_platform_case(case: &str, policy_spec: &str, rounds: usize, seed: u64) {
     let mut shadow: [BTreeSet<i64>; 2] = [BTreeSet::new(), BTreeSet::new()];
     let mut pending: [Option<i64>; 2] = [None, None];
     let mut next: [i64; 2] = PK_BASE;
+    let mut fired: BTreeMap<String, u64> = BTreeMap::new();
 
     for round in 0..rounds {
         let (p, tokens) = boot(&dir);
 
         for i in 0..2 {
             // invariant 2: recovery itself succeeded (boot didn't panic,
-            // the table reads back) even after snapshot/WAL faults
+            // the table reads back) even after checkpoint/WAL faults
             let got = present_ids(&p, i, &tokens[i]);
             // resolve the ambiguous op from the previous crash
             if let Some(pk) = pending[i].take() {
@@ -178,13 +182,17 @@ fn run_platform_case(case: &str, policy_spec: &str, rounds: usize, seed: u64) {
                     wedged[i] = true;
                 }
             }
-            // occasional checkpoints exercise snapshot + WAL-reset sites;
+            // occasional checkpoints exercise manifest + WAL-reset sites;
             // a failed checkpoint must not change logical state
             if !wedged[i] && rng.random_range(0..6i64) == 0 {
                 let _ = p.checkpoint_tenant(TENANTS[i], &tokens[i]);
             }
         }
 
+        // `clear()` forgets trigger counts: bank them first
+        for (site, _, _, n) in odbis_chaos::snapshot() {
+            *fired.entry(site).or_default() += n;
+        }
         // crash: disarm, then drop the platform without checkpointing
         odbis_chaos::clear();
         drop(p);
@@ -215,6 +223,12 @@ fn run_platform_case(case: &str, policy_spec: &str, rounds: usize, seed: u64) {
         shadow[0].len() + shadow[1].len() >= 5,
         "workload acknowledged almost nothing under {policy_spec} (seed {seed})"
     );
+    let silent: Vec<&String> = fired.iter().filter(|(_, n)| **n == 0).map(|(s, _)| s).collect();
+    assert!(
+        silent.is_empty(),
+        "{case}: failpoints {silent:?} never fired, so the case injected \
+         nothing there (seed {seed})"
+    );
 }
 
 // --------------------------------------------------------- the fault matrix
@@ -243,7 +257,7 @@ fn platform_survives_probabilistic_write_faults() {
 fn platform_survives_snapshot_and_checkpoint_faults() {
     run_platform_case(
         "snap",
-        "snapshot.rename=err-every-nth(2);checkpoint.begin=err-every-nth(3);wal.reset=err-every-nth(2)",
+        "manifest.rename=err-every-nth(2);checkpoint.begin=err-every-nth(3);wal.reset=err-every-nth(2)",
         3,
         seed(),
     );
@@ -261,7 +275,7 @@ fn chaos_platform_sweep_many_seeds() {
         run_platform_case("sweep-prob", "wal.write=err-with-prob(0.3,{r})", 3, s);
         run_platform_case(
             "sweep-compound",
-            "wal.fsync=err-every-nth(4);snapshot.rename=err-every-nth(2)",
+            "wal.fsync=err-every-nth(8);manifest.write.short=err-every-nth(1)",
             3,
             s,
         );
